@@ -1,24 +1,24 @@
 """Best approximation in max-plus semimodules.
 
-Extended-real scalars with the two additions, residuated max-plus
-linear algebra, the Hilbert projective distance, half-space geometry
-(canonical form, apex, projection, distance, the full set of nearest
-points), finitely generated semimodules with universal separating
-half-spaces, and two iterative solvers for systems A x >= B x.
+Extended-real scalars (plain numbers) with the two additions,
+residuated max-plus linear algebra, the Hilbert projective distance,
+half-space geometry (canonical form, apex, projection, distance, the
+full set of nearest points), finitely generated semimodules with
+universal separating half-spaces, and two iterative solvers for systems
+A x >= B x.
 """
 
 from .errors import (ClassificationError, DimensionError,
-                     InfiniteDistanceError, MaxplusError, NoSeparationError,
-                     ParseError, PointInSetError, UnsupportedCaseError)
-from .extreal import (NEG_INF, POS_INF, ZERO, ExtendedReal, format_scalar,
-                      lower_add, negate, op_count, parse_scalar,
-                      reset_op_count, scalar, scalar_residual, upper_add)
+                     InfiniteDistanceError, MaxplusError, ParseError,
+                     PointInSetError, UnsupportedCaseError)
+from .extreal import (NEG_INF, POS_INF, ZERO, format_scalar, lower_add,
+                      negate, parse_scalar, scalar, scalar_residual,
+                      upper_add)
 from .tropical_linalg import (TropicalMatrix, TropicalVector, format_matrix,
-                              format_vector, leq, mat_apply, mat_residual,
-                              matrix, parse_matrix, parse_vector,
-                              residuated_apply, residuated_row_preimage,
-                              row_apply, vec_meet, vec_oplus, vec_residual,
-                              vec_scale, vector)
+                              format_vector, leq, mat_apply, matrix,
+                              parse_matrix, parse_vector, residuated_apply,
+                              residuated_row_preimage, row_apply, vec_meet,
+                              vec_oplus, vec_residual, vec_scale, vector)
 from .hilbert_metric import (PartDescriptor, anti_distance, hilbert_distance,
                              part_of, restrict, supports)
 from .halfspace import (BestApproxSet, CanonicalHalfSpace, FaceBox, HalfSpace,

@@ -37,7 +37,7 @@ from . import halfspace as hs
 from . import semimodule as sm
 from . import solvers
 from .errors import (InfiniteDistanceError, MaxplusError, PointInSetError)
-from .extreal import format_scalar, op_count, reset_op_count
+from .extreal import NEG_INF, POS_INF, format_scalar
 from .tropical_linalg import format_vector, parse_matrix, parse_vector
 
 DEFAULT_TOL = 1e-9
@@ -51,21 +51,12 @@ def _read(path):
         raise MaxplusError(f"cannot read {path}: {e.strerror}") from None
 
 
-def _all_integral(objs):
-    def entries(o):
-        if hasattr(o, "entries"):
-            return o.entries
-        if hasattr(o, "rows"):
-            return [e for r in o.rows for e in r]
-        if hasattr(o, "generators"):
-            return [e for g in o.generators for e in g]
-        raise TypeError(type(o).__name__)
-
-    for o in objs:
-        for e in entries(o):
-            if e.is_finite and not isinstance(e.value, int):
-                return False
-    return True
+def _all_integral(A, B, u):
+    """Whether every finite entry of the system and the start is an int."""
+    entries = [e for M in (A, B) for r in M.rows for e in r]
+    entries.extend(u)
+    return all(isinstance(e, int) or e == NEG_INF or e == POS_INF
+               for e in entries)
 
 
 def _load(args, parse, path):
@@ -73,11 +64,11 @@ def _load(args, parse, path):
     return parse(_read(path), args.mode)
 
 
-def _resolve_mode(args, parsed_objects):
+def _resolve_mode(args, A, B, u):
     """Fill in args.mode/args.tol after parsing: int mode means exact
     termination (tol None), float mode uses --tol."""
     if args.mode is None:
-        args.mode = "int" if _all_integral(parsed_objects) else "float"
+        args.mode = "int" if _all_integral(A, B, u) else "float"
     args.tol = None if args.mode == "int" else (
         args.tol if args.tol is not None else DEFAULT_TOL)
 
@@ -140,7 +131,7 @@ def cmd_solve(args):
     A = _load(args, parse_matrix, args.a)
     B = _load(args, parse_matrix, args.b)
     u = _load(args, parse_vector, args.init)
-    _resolve_mode(args, [A, B, u])
+    _resolve_mode(args, A, B, u)
     S = solvers.InequalitySystem(A, B)
     cap = _max_iters(args)
     methods = ["cyclic", "power"] if args.method == "both" else [args.method]
@@ -163,35 +154,31 @@ def cmd_compare(args):
     A = _load(args, parse_matrix, args.a)
     B = _load(args, parse_matrix, args.b)
     u = _load(args, parse_vector, args.init)
-    _resolve_mode(args, [A, B, u])
+    _resolve_mode(args, A, B, u)
     S = solvers.InequalitySystem(A, B)
     cap = _max_iters(args)
-    reset_op_count()
     cyc = solvers.cyclic_solve(S, u, max_iters=cap, tol=args.tol, keep_trace=True)
-    cyc_ops = op_count()
-    reset_op_count()
     pow_ = solvers.power_solve(S, u, max_iters=cap, tol=args.tol, keep_trace=True)
-    pow_ops = op_count()
     agree = cyc.solution == pow_.solution
     sandwich = solvers.sandwich_check(S, u) if args.tol is None else None
 
-    def side(report, ops):
+    def side(report):
         d = _report_json(report)
-        d["finite_additions"] = ops
+        d["finite_additions"] = report.finite_additions
         return d
 
     payload = {
-        "cyclic": side(cyc, cyc_ops),
-        "power": side(pow_, pow_ops),
+        "cyclic": side(cyc),
+        "power": side(pow_),
         "solutions_agree": agree,
         "sandwich": sandwich,
     }
 
     def text():
         _print_report("cyclic", cyc)
-        print(f"finite additions: {cyc_ops}")
+        print(f"finite additions: {cyc.finite_additions}")
         _print_report("power", pow_)
-        print(f"finite additions: {pow_ops}")
+        print(f"finite additions: {pow_.finite_additions}")
         print(f"solutions agree: {agree}")
         if sandwich is not None:
             print(f"sandwich holds: {sandwich}")
@@ -313,7 +300,7 @@ def cmd_separate(args):
               lambda: print("the point belongs to the semimodule; "
                             "nothing separates it"))
         return 0
-    reduced = any(e.is_neg_inf for e in P) or not all(e.is_finite for e in x)
+    reduced = NEG_INF in P.entries or NEG_INF in x.entries or POS_INF in x.entries
     if reduced:
         try:
             x_r, V_r, index_map = sm.reduce_problem(V, x)

@@ -36,11 +36,6 @@ class PointInSetError(MaxplusError):
     family) does not exist."""
 
 
-class NoSeparationError(PointInSetError):
-    """Alias kept for call sites that ask specifically for a
-    separating half-space."""
-
-
 class InfiniteDistanceError(MaxplusError):
     """The point is at distance +inf from the set, where the requested
     answer would be degenerate (e.g. the whole set minimizes)."""

@@ -15,148 +15,72 @@ upper addition is its order dual and enters through residuation:
 is the largest lambda with mu + lambda <= nu (a Galois connection).
 The two are De Morgan duals: -(a +' b) = (-a) + (-b).
 
-Finite payloads are exact (int / Fraction) or float.  Exactness is a
-property of the payloads, not of this module: all comparisons here are
-exact on tag and value; tolerances exist only in solver termination.
+Scalars are plain Python numbers: finite values are int, Fraction or
+float, and NEG_INF / POS_INF are the float infinities, so the order is
+Python's own and every pair other than (-inf, +inf) adds natively.
+Exactness is a property of the payloads, not of this module: all
+comparisons here are exact; tolerances exist only in solver termination.
 
-A module-level counter tallies finite+finite additions performed by
-lower_add/upper_add; the solver complexity tests read it.  It is a
-diagnostic, not synchronized across threads.
+scalar() and parse_scalar() are the boundary: they reject NaN, types
+other than int / Fraction / float, and finite values beyond the float
+range (which could not meet an infinity in native arithmetic).  A
+Fraction with denominator 1 enters as an int.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
-_NEG, _FIN, _POS = -1, 0, 1
+NEG_INF = float("-inf")
+POS_INF = float("inf")
+ZERO = 0
 
-# finite+finite additions since last reset_op_count(); see module docstring
-_op_count = 0
-
-
-class ExtendedReal:
-    """A scalar tagged as -inf, finite, or +inf.
-
-    Use the module constants NEG_INF / POS_INF for the infinities and
-    scalar() to coerce arbitrary Python numbers or text tokens.  The
-    constructor itself accepts only genuinely finite numbers.
-    """
-
-    __slots__ = ("tag", "value")
-
-    def __init__(self, value):
-        if isinstance(value, float):
-            if value != value or value in (float("inf"), float("-inf")):
-                raise ValueError(f"not a finite payload: {value!r}")
-        elif isinstance(value, Fraction):
-            if value.denominator == 1:
-                value = int(value)
-        elif not isinstance(value, int):
-            raise TypeError(f"unsupported payload type: {type(value).__name__}")
-        self.tag = _FIN
-        self.value = value
-
-    @property
-    def is_finite(self):
-        return self.tag == _FIN
-
-    @property
-    def is_neg_inf(self):
-        return self.tag == _NEG
-
-    @property
-    def is_pos_inf(self):
-        return self.tag == _POS
-
-    def _key(self):
-        # tags order -1 < 0 < 1 and finite payloads compare numerically,
-        # so (tag, value) is a total order key
-        return (self.tag, self.value)
-
-    def __eq__(self, other):
-        if not isinstance(other, ExtendedReal):
-            return NotImplemented
-        return self.tag == other.tag and self.value == other.value
-
-    def __hash__(self):
-        return hash((self.tag, self.value))
-
-    def __lt__(self, other):
-        return self._key() < other._key()
-
-    def __le__(self, other):
-        return self._key() <= other._key()
-
-    def __gt__(self, other):
-        return self._key() > other._key()
-
-    def __ge__(self, other):
-        return self._key() >= other._key()
-
-    def __repr__(self):
-        return f"ExtendedReal({format_scalar(self)!r})"
-
-    def __str__(self):
-        return format_scalar(self)
+_FLOAT_MAX = sys.float_info.max
 
 
-def _make_inf(tag):
-    s = object.__new__(ExtendedReal)
-    s.tag = tag
-    s.value = 0
-    return s
-
-
-NEG_INF = _make_inf(_NEG)
-POS_INF = _make_inf(_POS)
-ZERO = ExtendedReal(0)
+def _finite(v):
+    """v as a finite scalar, or ValueError (NaN and the infinities fail
+    the range test too)."""
+    if isinstance(v, Fraction) and v.denominator == 1:
+        v = v.numerator
+    if not -_FLOAT_MAX <= v <= _FLOAT_MAX:
+        raise ValueError(f"not a finite scalar: {v!r}")
+    return v
 
 
 def scalar(v):
-    """Coerce a Python number, token string, or ExtendedReal to ExtendedReal.
+    """Validate a Python number or token string as a scalar.
 
-    Floats that encode infinities map to the constants; strings go
-    through parse_scalar.
+    Float infinities are the infinite scalars; strings go through
+    parse_scalar.
     """
-    if isinstance(v, ExtendedReal):
-        return v
     if isinstance(v, str):
         return parse_scalar(v)
     if isinstance(v, float):
-        if v == float("inf"):
-            return POS_INF
-        if v == float("-inf"):
-            return NEG_INF
-    return ExtendedReal(v)
+        return v if v == NEG_INF or v == POS_INF else _finite(v)
+    if isinstance(v, (int, Fraction)):
+        return _finite(v)
+    raise TypeError(f"unsupported scalar type: {type(v).__name__}")
 
 
 def lower_add(a, b):
     """a + b with (-inf) + (+inf) = -inf: the max-plus multiplication."""
-    if a.tag == _FIN and b.tag == _FIN:
-        global _op_count
-        _op_count += 1
-        return ExtendedReal(a.value + b.value)
-    if a.tag == _NEG or b.tag == _NEG:
+    if a == NEG_INF or b == NEG_INF:
         return NEG_INF
-    return POS_INF
+    return a + b
 
 
 def upper_add(a, b):
     """a +' b with (-inf) +' (+inf) = +inf: the dual addition."""
-    if a.tag == _FIN and b.tag == _FIN:
-        global _op_count
-        _op_count += 1
-        return ExtendedReal(a.value + b.value)
-    if a.tag == _POS or b.tag == _POS:
+    if a == POS_INF or b == POS_INF:
         return POS_INF
-    return NEG_INF
+    return a + b
 
 
 def negate(a):
     """The opposite scalar; swaps the infinities."""
-    if a.tag == _FIN:
-        return ExtendedReal(-a.value)
-    return NEG_INF if a.tag == _POS else POS_INF
+    return -a
 
 
 def scalar_residual(mu, nu):
@@ -165,17 +89,9 @@ def scalar_residual(mu, nu):
     Finite iff both arguments are finite; +inf iff mu = -inf or
     nu = +inf.
     """
-    return upper_add(nu, negate(mu))
-
-
-def op_count():
-    """Finite additions performed since the last reset (diagnostic)."""
-    return _op_count
-
-
-def reset_op_count():
-    global _op_count
-    _op_count = 0
+    if mu == NEG_INF or nu == POS_INF:
+        return POS_INF
+    return nu - mu
 
 
 # --- text tokens -----------------------------------------------------------
@@ -199,27 +115,26 @@ def parse_scalar(token, mode=None):
         return POS_INF
     try:
         if mode == "int":
-            return ExtendedReal(int(token))
+            return _finite(int(token))
         if "/" in token:
             num = Fraction(token)
-            return ExtendedReal(float(num) if mode == "float" else num)
+            return _finite(float(num) if mode == "float" else num)
         if mode == "float":
-            return ExtendedReal(float(token))
+            return _finite(float(token))
         try:
-            return ExtendedReal(int(token))
+            return _finite(int(token))
         except ValueError:
-            return ExtendedReal(float(token))
-    except (ValueError, ZeroDivisionError):
+            return _finite(float(token))
+    except (ValueError, ZeroDivisionError, OverflowError):
         kind = "an integer" if mode == "int" else "a numeric"
         raise ValueError(f"not {kind} token: {token!r}") from None
 
 
 def format_scalar(a):
-    """Token for a scalar; inverse of parse_scalar for every backend."""
-    if a.tag == _NEG:
+    """Token for a scalar; inverse of parse_scalar for every backend.
+    A Fraction with denominator 1 prints as an integer."""
+    if a == NEG_INF:
         return "-inf"
-    if a.tag == _POS:
+    if a == POS_INF:
         return "+inf"
-    if isinstance(a.value, Fraction):
-        return f"{a.value.numerator}/{a.value.denominator}"
-    return repr(a.value)
+    return str(a)

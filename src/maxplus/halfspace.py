@@ -42,17 +42,15 @@ Indices are 0-based everywhere.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (ClassificationError, DimensionError,
                      InfiniteDistanceError, ParseError, PointInSetError,
                      UnsupportedCaseError)
-from .extreal import (NEG_INF, POS_INF, ExtendedReal, format_scalar,
-                      lower_add, negate, scalar_residual)
+from .extreal import NEG_INF, POS_INF, format_scalar, lower_add, scalar_residual
 from .hilbert_metric import hilbert_distance
 from .tropical_linalg import (TropicalVector, _parse_count, _parse_entry,
-                              _token_lines, residuated_row_preimage,
-                              row_apply, vec_meet, vec_oplus)
+                              _token_lines, _vec, row_apply, vec_oplus)
 
 
 class Kind(enum.Enum):
@@ -63,7 +61,7 @@ class Kind(enum.Enum):
 
 def _check_coefficients(v, what):
     for e in v:
-        if e.is_pos_inf:
+        if e == POS_INF:
             raise UnsupportedCaseError(f"{what} coefficients must lie in "
                                        "R u {-inf}, found +inf")
     return v
@@ -99,12 +97,20 @@ class HalfSpace:
 @dataclass(frozen=True)
 class CanonicalHalfSpace:
     """Coefficients with disjoint supports defining the same set.
-    I = Supp a_prime, J = Supp b_prime; J is nonempty (proper input)."""
+    I = Supp a_prime, J = Supp b_prime; J is nonempty (proper input).
+    a_pairs / b_pairs: the (index, coefficient) pairs on I / J, sorted."""
 
     a_prime: TropicalVector
     b_prime: TropicalVector
     I: frozenset
     J: frozenset
+    a_pairs: tuple = field(init=False, repr=False, compare=False)
+    b_pairs: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name, v, S in (("a_pairs", self.a_prime, self.I),
+                           ("b_pairs", self.b_prime, self.J)):
+            object.__setattr__(self, name, tuple([(i, v[i]) for i in sorted(S)]))
 
     @property
     def n(self):
@@ -139,14 +145,15 @@ class FaceBox:
 
     def contains(self, h):
         lam = h[self.pivot]
-        if not lam.is_finite:
+        if not NEG_INF < lam < POS_INF:
             return False
-        lam = ExtendedReal(lam.value - self.fixed[self.pivot].value)
+        # lam is finite, so plain + is the lower addition below
+        lam = lam - self.fixed[self.pivot]
         for j, v in self.fixed.items():
-            if h[j] != lower_add(v, lam):
+            if h[j] != v + lam:
                 return False
         for k, (lo, hi) in self.box.items():
-            if not lower_add(lo, lam) <= h[k] <= lower_add(hi, lam):
+            if not lo + lam <= h[k] <= hi + lam:
                 return False
         return True
 
@@ -156,7 +163,7 @@ class BestApproxSet:
     """The distance from x to the half-space and the faces whose union
     is the set of nearest points."""
 
-    base_distance: ExtendedReal
+    base_distance: object
     faces: tuple
 
     def contains(self, h):
@@ -188,13 +195,13 @@ def canonicalize(H):
         if ai >= bi:
             a_prime.append(ai)
             b_prime.append(NEG_INF)
-            if not ai.is_neg_inf:
+            if ai != NEG_INF:
                 I.add(i)
         else:
             a_prime.append(NEG_INF)
             b_prime.append(bi)
             J.add(i)
-    return CanonicalHalfSpace(TropicalVector(a_prime), TropicalVector(b_prime),
+    return CanonicalHalfSpace(_vec(tuple(a_prime)), _vec(tuple(b_prime)),
                               frozenset(I), frozenset(J))
 
 
@@ -206,7 +213,7 @@ def apex_and_sectors(C):
     h_i - apex_i >= max over j /= i of (h_j - apex_j).
     """
     merged = vec_oplus(C.a_prime, C.b_prime)
-    apex = TropicalVector(negate(e) for e in merged)
+    apex = _vec(tuple([-e for e in merged]))
     sectors = []
     for i in sorted(C.I):
         a_row = [NEG_INF] * C.n
@@ -219,8 +226,24 @@ def apex_and_sectors(C):
 
 def project_canonical(C, x):
     """x wedge the greatest preimage of a'x under b'; correct whether
-    or not x is already in the set."""
-    return vec_meet(x, residuated_row_preimage(C.b_prime, row_apply(C.a_prime, x)))
+    or not x is already in the set.  O(|I| + |J|): t = a'x over I,
+    then x_j lowered to t - b'_j on J (finite coefficients, so native
+    + and - are exact); x itself comes back when nothing moves.
+    """
+    xs = x.entries
+    t = NEG_INF
+    for i, a in C.a_pairs:
+        v = a + xs[i]
+        if v > t:
+            t = v
+    out = None
+    for j, b in C.b_pairs:
+        v = t - b
+        if v < xs[j]:
+            if out is None:
+                out = list(xs)
+            out[j] = v
+    return x if out is None else _vec(tuple(out))
 
 
 def project(H, x):
@@ -231,7 +254,7 @@ def project(H, x):
     if kind is Kind.EVERYTHING:
         return x
     if kind is Kind.BOTTOM_ONLY:
-        return TropicalVector([NEG_INF] * H.n)
+        return _vec((NEG_INF,) * H.n)
     return project_canonical(canonicalize(H), x)
 
 
@@ -252,7 +275,7 @@ def distance(H, x):
 
 def _reject_pos_inf(x):
     for e in x:
-        if e.is_pos_inf:
+        if e == POS_INF:
             raise UnsupportedCaseError(
                 "best approximation handles points of (R u {-inf})^n only")
 
@@ -278,7 +301,7 @@ def _prepared(H, x):
     ax = row_apply(C.a_prime, x)
     bx = row_apply(C.b_prime, x)  # = bx for the original b since x is outside
     d = scalar_residual(ax, bx)
-    if d.is_pos_inf:
+    if d == POS_INF:
         raise InfiniteDistanceError(
             "a'x = -inf: every point of the half-space is at distance +inf")
     return C, ax, bx, d
@@ -292,17 +315,17 @@ def best_approx_set(H, x):
     """
     C, ax, bx, d = _prepared(H, x)
     P = project_canonical(C, x)
-    neg_ax, neg_bx = negate(ax), negate(bx)
-    fixed_b = {j: negate(C.b_prime[j]) for j in _argmax(C.b_prime, x, bx)}
+    fixed_b = {j: -C.b_prime[j] for j in _argmax(C.b_prime, x, bx)}
     faces = []
     for i in _argmax(C.a_prime, x, ax):
         fixed = dict(fixed_b)
-        fixed[i] = negate(C.a_prime[i])
+        fixed[i] = -C.a_prime[i]
         box = {}
         for k in range(len(x)):
             if k in fixed:
                 continue
-            box[k] = (lower_add(x[k], neg_bx), lower_add(P[k], neg_ax))
+            # ax and bx are finite and x, P have no +inf entry
+            box[k] = (x[k] - bx, P[k] - ax)
         faces.append(FaceBox(i, fixed, box))
     return BestApproxSet(d, tuple(faces))
 
@@ -316,17 +339,17 @@ def is_best_approx(H, x, h):
     C, ax, bx, _ = _prepared(H, x)
     if len(h) != len(x):
         raise DimensionError(f"points of lengths {len(x)} vs {len(h)}")
-    for e in h:
-        if e.is_pos_inf:
-            return False
+    if POS_INF in h.entries:
+        return False
     ah = row_apply(C.a_prime, h)
     bh = row_apply(C.b_prime, h)
-    if bh.is_neg_inf or ah < bh:
+    if bh == NEG_INF or ah < bh:
         return False
-    lo_shift = lower_add(ah, negate(bx))
-    hi_shift = lower_add(bh, negate(ax))
+    # ax, bx, bh finite, ah >= bh, no +inf: plain + is the lower addition
+    lo_shift = ah - bx
+    hi_shift = bh - ax
     for xk, hk in zip(x, h):
-        if not lower_add(xk, lo_shift) <= hk <= lower_add(xk, hi_shift):
+        if not xk + lo_shift <= hk <= xk + hi_shift:
             return False
     return True
 

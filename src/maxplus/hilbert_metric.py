@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionError
-from .extreal import lower_add, negate
-from .tropical_linalg import TropicalVector, vec_residual
+from .extreal import NEG_INF, POS_INF, lower_add
+from .tropical_linalg import _vec, vec_residual
 
 
 def supports(x):
@@ -34,11 +34,11 @@ def supports(x):
     index sets.  supp = lsupp & usupp always."""
     supp, lsupp, usupp = set(), set(), set()
     for i, e in enumerate(x):
-        if not e.is_pos_inf:
+        if e != POS_INF:
             lsupp.add(i)
-        if not e.is_neg_inf:
+        if e != NEG_INF:
             usupp.add(i)
-        if e.is_finite:
+        if NEG_INF < e < POS_INF:
             supp.add(i)
     return frozenset(supp), frozenset(lsupp), frozenset(usupp)
 
@@ -68,9 +68,9 @@ def part_of(x):
     sigma_neg = set()
     sigma_pos = set()
     for i, e in enumerate(x):
-        if e.is_neg_inf:
+        if e == NEG_INF:
             sigma_neg.add(i)
-        elif e.is_pos_inf:
+        elif e == POS_INF:
             sigma_pos.add(i)
         else:
             supp.add(i)
@@ -86,7 +86,7 @@ def anti_distance(x, y):
 
 def hilbert_distance(x, y):
     """Projective distance; see the module docstring."""
-    return negate(anti_distance(x, y))
+    return -anti_distance(x, y)
 
 
 def restrict(x, indices):
@@ -101,4 +101,4 @@ def restrict(x, indices):
         if not 0 <= i < n:
             raise DimensionError(f"index {i} out of range for length {n}")
         out.append(x[i])
-    return TropicalVector(out)
+    return _vec(tuple(out))

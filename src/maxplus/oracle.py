@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .extreal import NEG_INF, POS_INF, ExtendedReal
+from .extreal import NEG_INF, POS_INF
 from .halfspace import HalfSpace, contains
 from .hilbert_metric import hilbert_distance
 from .semimodule import GeneratedSemimodule
@@ -40,7 +40,7 @@ class GridSpec:
             raise ValueError(f"step must be positive, got {self.step}")
 
     def scalars(self):
-        vals = [ExtendedReal(v) for v in range(self.low, self.high + 1, self.step)]
+        vals = list(range(self.low, self.high + 1, self.step))
         if self.infinity_patterns:
             vals = [NEG_INF] + vals + [POS_INF]
         return vals
@@ -50,10 +50,6 @@ def grid_vectors(n, G):
     """Every vector with all entries drawn from the grid."""
     for combo in itertools.product(G.scalars(), repeat=n):
         yield TropicalVector(combo)
-
-
-def _sort_key(h):
-    return tuple((e.tag, e.value) for e in h)
 
 
 def grid_min_distance(H, x, G):
@@ -73,7 +69,7 @@ def grid_min_distance(H, x, G):
             argmins.append(h)
     if best == POS_INF:
         return POS_INF, []
-    return best, sorted(argmins, key=_sort_key)
+    return best, sorted(argmins, key=lambda h: h.entries)
 
 
 def _grid_members_leq(S_or_H, x, G):

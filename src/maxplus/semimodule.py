@@ -30,14 +30,14 @@ exact, not an approximation.
 
 from __future__ import annotations
 
-from .errors import (DimensionError, InfiniteDistanceError,
-                     NoSeparationError, UnsupportedCaseError)
-from .extreal import NEG_INF, negate
+from .errors import (DimensionError, InfiniteDistanceError, PointInSetError,
+                     UnsupportedCaseError)
+from .extreal import NEG_INF, POS_INF
 from .halfspace import HalfSpace
 from .hilbert_metric import hilbert_distance, restrict, supports
-from .tropical_linalg import (TropicalMatrix, TropicalVector, format_matrix,
-                              parse_matrix, vec_oplus, vec_residual,
-                              vec_scale)
+from .tropical_linalg import (TropicalMatrix, TropicalVector, _vec,
+                              format_matrix, parse_matrix, vec_oplus,
+                              vec_residual, vec_scale)
 
 
 class GeneratedSemimodule:
@@ -79,7 +79,7 @@ def _check_dim(V, x):
 def project(V, u):
     """The greatest element of V below u."""
     _check_dim(V, u)
-    best = TropicalVector([NEG_INF] * len(u))
+    best = _vec((NEG_INF,) * len(u))
     for g in V.generators:
         best = vec_oplus(best, vec_scale(g, vec_residual(g, u)))
     return best
@@ -117,8 +117,8 @@ def universal_halfspace(V, x):
     _check_dim(V, x)
     P = project(V, x)
     if P == x:
-        raise NoSeparationError("the point belongs to the semimodule")
-    bad = [i for i, e in enumerate(P) if not e.is_finite]
+        raise PointInSetError("the point belongs to the semimodule")
+    bad = [i for i, e in enumerate(P) if not NEG_INF < e < POS_INF]
     if bad:
         raise UnsupportedCaseError(
             "the projection has non-finite coordinates "
@@ -128,10 +128,10 @@ def universal_halfspace(V, x):
     touched = False
     for j, (xj, pj) in enumerate(zip(x, P)):
         if xj == pj:
-            a[j] = negate(xj)
+            a[j] = -xj
             touched = True
         else:
-            b[j] = negate(pj)
+            b[j] = -pj
     # the projection is maximal below x, so it touches x somewhere
     assert touched
     return HalfSpace(a, b)
@@ -166,7 +166,7 @@ def reduce_problem(V, x):
     x_prime = restrict(x, I)
     V_prime = GeneratedSemimodule(kept, n=len(I))
     P_prime = project(V_prime, x_prime)
-    if any(e.is_neg_inf for e in P_prime):
+    if NEG_INF in P_prime.entries:
         raise InfiniteDistanceError(
             "no element of the semimodule has the support of x")
     return x_prime, V_prime, I

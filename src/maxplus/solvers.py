@@ -6,9 +6,10 @@ compute the greatest solution below the starting point u, which is the
 canonical projection P_V(u).
 
 cyclic_solve projects onto H_1, ..., H_p in a fixed round-robin: one
-sweep applies the p row projections in order, each an O(row support)
-update through the canonical projection formula.  power_solve iterates
-the whole system at once:
+sweep applies the p row projections in order through the canonical
+projection formula, each O(|I| + |J|) for the row's support plus an
+O(n) copy of the iterate when it moves a coordinate.  power_solve
+iterates the whole system at once:
 
     eta_next = B#(A eta) /\\ eta,
 
@@ -34,6 +35,10 @@ coordinate is -inf in the limit once D_cap exceeds the largest
 coordinate spread a solution can have, and the default cap
 (n + p + 2) * (M + 1) for entry magnitude M does).  Pinned indices are
 reported so the cutoff is visible in the output.
+
+Reports count the additions of two finite scalars.  Which ones a sweep
+or step performs depends only on where its start is infinite, so each
+such pattern (mostly just "all finite") is counted entry by entry once.
 """
 
 from __future__ import annotations
@@ -41,12 +46,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import DimensionError
-from .extreal import NEG_INF, POS_INF, ExtendedReal
+from .errors import DimensionError, MaxplusError, UnsupportedCaseError
+from .extreal import NEG_INF, POS_INF
 from .halfspace import HalfSpace, Kind, canonicalize, classify, project_canonical
 from .hilbert_metric import hilbert_distance
-from .tropical_linalg import (TropicalMatrix, TropicalVector, leq, mat_apply,
-                              residuated_apply, vec_meet)
+from .tropical_linalg import (TropicalMatrix, TropicalVector, _vec, leq,
+                              mat_apply, residuated_apply, vec_meet)
 
 DEFAULT_MAX_ITERS = 100_000
 
@@ -96,10 +101,13 @@ class IterationTrace:
 
 @dataclass(frozen=True)
 class SolveReport:
+    """finite_additions includes those computing distance_bound_used."""
+
     status: Status
     solution: TropicalVector
     iterations: int
-    distance_bound_used: ExtendedReal
+    distance_bound_used: object
+    finite_additions: int
     trace: IterationTrace | None = None
 
 
@@ -115,7 +123,15 @@ class FeasibilityResult:
 
 
 def _is_bottom(x):
-    return all(e.is_neg_inf for e in x)
+    return all(e == NEG_INF for e in x.entries)
+
+
+def _infinite_entries(x):
+    """The (index, value) pairs of the infinite entries of x."""
+    xs = x.entries
+    if not xs or (NEG_INF < min(xs) and max(xs) < POS_INF):
+        return ()
+    return tuple([(i, e) for i, e in enumerate(xs) if not NEG_INF < e < POS_INF])
 
 
 def _max_change_ok(prev, cur, tol):
@@ -123,9 +139,9 @@ def _max_change_ok(prev, cur, tol):
     (None means exact equality)."""
     if tol is None:
         return prev == cur
-    for a, b in zip(prev, cur):
-        if a.is_finite and b.is_finite:
-            if abs(a.value - b.value) > tol:
+    for a, b in zip(prev.entries, cur.entries):
+        if NEG_INF < a < POS_INF and NEG_INF < b < POS_INF:
+            if abs(a - b) > tol:
                 return False
         elif a != b:
             return False
@@ -133,12 +149,40 @@ def _max_change_ok(prev, cur, tol):
 
 
 def _bound_from(u, solution):
-    """n * d(u, limit), ordinary product: the post-hoc iteration bound
-    for integer data.  Infinite whenever the distance is."""
+    """(n * d(u, limit), its finite additions): the post-hoc iteration
+    bound for integer data, infinite whenever the distance is.  Each of
+    the two residuals in d subtracts once per index finite in both
+    vectors; adding them counts only when both, hence d, are finite."""
     d = hilbert_distance(u, solution)
-    if not d.is_finite:
-        return d
-    return ExtendedReal(len(u) * d.value)
+    both = sum([NEG_INF < a < POS_INF and NEG_INF < b < POS_INF
+                for a, b in zip(u.entries, solution.entries)])
+    if not NEG_INF < d < POS_INF:
+        return d, 2 * both
+    return len(u) * d, 2 * both + 1
+
+
+def _row_additions(C, x):
+    """Finite additions of project_canonical(C, x): a'_i + x_i for each
+    finite x_i on I, then t - b'_j over J when t = a'x is finite."""
+    xs = x.entries
+    k = sum([NEG_INF < xs[i] < POS_INF for i in C.I])
+    if k and all([xs[i] != POS_INF for i in C.I]):
+        return k + len(C.J)
+    return k
+
+
+def _step_additions(S, x, y):
+    """Finite additions of a power step from x, given y = A x: one per
+    finite A_ji at a finite x_i, one per finite B_ji at a finite y_j."""
+    xs = x.entries
+    count = 0
+    for a, sa, b, sb, yj in zip(S.A.rows, S.A._support, S.B.rows, S.B._support,
+                                y.entries):
+        a, b = a.entries, b.entries
+        count += sum([a[i] < POS_INF and NEG_INF < xs[i] < POS_INF for i in sa])
+        if NEG_INF < yj < POS_INF:
+            count += sum([b[i] < POS_INF for i in sb])
+    return count
 
 
 def _check_start(S, u):
@@ -168,31 +212,41 @@ def cyclic_solve(S, u, max_iters=DEFAULT_MAX_ITERS, tol=None, keep_trace=False):
     of sweeps that changed the iterate.
     """
     _check_start(S, u)
-    points = [u]
+    points = [u] if keep_trace else None
     rows, bottom_row = _prepare_rows(S)
+    additions = 0
 
     def report(status, x, sweeps):
-        bound = _bound_from(u, x) if status is Status.SOLVED else POS_INF
+        bound, extra = _bound_from(u, x) if status is Status.SOLVED else (POS_INF, 0)
         trace = IterationTrace(tuple(points), "cyclic", S.p) if keep_trace else None
-        return SolveReport(status, x, sweeps, bound, trace)
+        return SolveReport(status, x, sweeps, bound, additions + extra, trace)
 
     if bottom_row is not None:
-        bot = TropicalVector([NEG_INF] * S.n)
-        if points[-1] != bot:
+        bot = _vec((NEG_INF,) * S.n)
+        if keep_trace and u != bot:
             points.append(bot)
         return report(Status.BOTTOM_REACHED, bot, 0 if _is_bottom(u) else 1)
 
     x = u
     sweeps = 0
+    sweep_additions = {}
     while True:
         if sweeps >= max_iters:
             return report(Status.ITERATION_CAP_HIT, x, sweeps)
         before = x
+        pattern = _infinite_entries(x)
+        known = sweep_additions.get(pattern)
+        count = 0
         for C in rows:
+            if known is None:
+                count += _row_additions(C, x)
             nxt = project_canonical(C, x)
-            if nxt != x:
+            if keep_trace and nxt is not x:
                 points.append(nxt)
             x = nxt
+        if known is None:
+            sweep_additions[pattern] = known = count
+        additions += known
         if _max_change_ok(before, x, tol):
             return report(Status.SOLVED, x, sweeps)
         sweeps += 1
@@ -203,22 +257,31 @@ def cyclic_solve(S, u, max_iters=DEFAULT_MAX_ITERS, tol=None, keep_trace=False):
 def power_solve(S, u, max_iters=DEFAULT_MAX_ITERS, tol=None, keep_trace=False):
     """Whole-system fixed-point iteration eta <- B#(A eta) /\\ eta."""
     _check_start(S, u)
-    points = [u]
+    points = [u] if keep_trace else None
+    additions = 0
 
     def report(status, x, steps):
-        bound = _bound_from(u, x) if status is Status.SOLVED else POS_INF
+        bound, extra = _bound_from(u, x) if status is Status.SOLVED else (POS_INF, 0)
         trace = IterationTrace(tuple(points), "power") if keep_trace else None
-        return SolveReport(status, x, steps, bound, trace)
+        return SolveReport(status, x, steps, bound, additions + extra, trace)
 
     x = u
     steps = 0
+    step_additions = {}
     while True:
         if steps >= max_iters:
             return report(Status.ITERATION_CAP_HIT, x, steps)
-        nxt = vec_meet(residuated_apply(S.B, mat_apply(S.A, x)), x)
+        y = mat_apply(S.A, x)
+        nxt = vec_meet(residuated_apply(S.B, y), x)
+        pattern = _infinite_entries(x)
+        count = step_additions.get(pattern)
+        if count is None:
+            count = step_additions[pattern] = _step_additions(S, x, y)
+        additions += count
         if _max_change_ok(x, nxt, tol):
             return report(Status.SOLVED, x, steps)
-        points.append(nxt)
+        if keep_trace:
+            points.append(nxt)
         x = nxt
         steps += 1
         if _is_bottom(x):
@@ -256,7 +319,7 @@ def _sweep_ends(S, u):
     ending at the first stationary sweep."""
     rows, bottom_row = _prepare_rows(S)
     if bottom_row is not None:
-        return [u, TropicalVector([NEG_INF] * S.n)]
+        return [u, _vec((NEG_INF,) * S.n)]
     out = [u]
     x = u
     while True:
@@ -276,8 +339,8 @@ def default_divergence_cap(S, u):
     entries = [e for row in list(S.A.rows) + list(S.B.rows) for e in row]
     entries.extend(u)
     for e in entries:
-        if e.is_finite:
-            m = max(m, abs(e.value))
+        if NEG_INF < e < POS_INF:
+            m = max(m, abs(e))
     return (S.n + S.p + 2) * (m + 1)
 
 
@@ -288,11 +351,12 @@ def feasibility(S, u, max_iters=DEFAULT_MAX_ITERS, divergence_cap=None):
     docstring; coordinates that sink below min(u) - n * divergence_cap
     are pinned to -inf (they are -inf in the limit), which turns the
     endless descent of infeasible coordinates into a finite
-    computation on integer data.
+    computation on integer data.  Raises UnsupportedCaseError for a
+    non-finite start, MaxplusError after max_iters sweeps.
     """
     _check_start(S, u)
-    if not all(e.is_finite for e in u):
-        raise ValueError("feasibility needs a finite starting point")
+    if not all(NEG_INF < e < POS_INF for e in u.entries):
+        raise UnsupportedCaseError("feasibility needs a finite starting point")
     if S.p == 0:
         return FeasibilityResult("FiniteSolution", u)
     rows, bottom_row = _prepare_rows(S)
@@ -300,21 +364,21 @@ def feasibility(S, u, max_iters=DEFAULT_MAX_ITERS, divergence_cap=None):
         return FeasibilityResult("OnlyBottom", None)
     if divergence_cap is None:
         divergence_cap = default_divergence_cap(S, u)
-    floor = ExtendedReal(min(e.value for e in u) - S.n * divergence_cap)
+    floor = min(u.entries) - S.n * divergence_cap
     pinned = set()
     x = u
     for _ in range(max_iters):
         before = x
         for C in rows:
             x = project_canonical(C, x)
-        sunk = [i for i, e in enumerate(x) if e.is_finite and e < floor]
+        sunk = [i for i, e in enumerate(x.entries) if NEG_INF < e < floor]
         if sunk:
             pinned.update(sunk)
-            x = TropicalVector(NEG_INF if i in pinned else e
-                               for i, e in enumerate(x))
+            x = _vec(tuple([NEG_INF if i in pinned else e
+                            for i, e in enumerate(x.entries)]))
         if _is_bottom(x):
             return FeasibilityResult("OnlyBottom", None, tuple(sorted(pinned)))
         if x == before:
             return FeasibilityResult("FiniteSolution", x, tuple(sorted(pinned)))
-    raise RuntimeError(f"no fixed point within {max_iters} sweeps; "
+    raise MaxplusError(f"no fixed point within {max_iters} sweeps; "
                        "raise max_iters or lower divergence_cap")

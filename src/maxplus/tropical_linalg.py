@@ -16,9 +16,11 @@ A matrix row whose entries are all -inf sends everything to -inf, and
 its residual column is +inf; both operations are total here, no row or
 column regularity is assumed.
 
-Storage is dense tuples; the -inf entries are skipped inside the loops
-where skipping is sound, so sparse data costs what its finite part
-costs (the op counter in extreal only advances on finite additions).
+Entries are plain numbers (see extreal), stored as dense tuples; a
+matrix also keeps each row's indices above -inf, so its kernels cost
+what the finite part costs.  Native + and - get only (-inf, +inf)
+wrong, as NaN, which compares false: a max (min) reduction written as
+"if t > best" ("<") skips it, as lower (upper) addition asks.
 
 Text formats (whitespace-separated tokens, see extreal.parse_scalar):
 
@@ -33,8 +35,8 @@ from __future__ import annotations
 import re
 
 from .errors import DimensionError, ParseError
-from .extreal import (NEG_INF, POS_INF, ExtendedReal, format_scalar,
-                      lower_add, parse_scalar, scalar, scalar_residual)
+from .extreal import (NEG_INF, POS_INF, format_scalar, lower_add,
+                      parse_scalar, scalar)
 
 
 class TropicalVector:
@@ -43,7 +45,7 @@ class TropicalVector:
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        self.entries = tuple(scalar(e) for e in entries)
+        self.entries = tuple([scalar(e) for e in entries])
 
     def __len__(self):
         return len(self.entries)
@@ -66,12 +68,19 @@ class TropicalVector:
         return "vector([" + ", ".join(format_scalar(e) for e in self.entries) + "])"
 
 
+def _vec(entries):
+    """A TropicalVector over a tuple of valid scalars, not revalidated."""
+    x = object.__new__(TropicalVector)
+    x.entries = entries
+    return x
+
+
 class TropicalMatrix:
     """A p x n matrix; rows are TropicalVectors.  p = 0 is allowed
     (the action then imposes no constraint), so ncols must be passed
     when there is no row to infer it from."""
 
-    __slots__ = ("rows", "ncols")
+    __slots__ = ("rows", "ncols", "_support")
 
     def __init__(self, rows, ncols=None):
         self.rows = tuple(r if isinstance(r, TropicalVector) else TropicalVector(r)
@@ -88,6 +97,8 @@ class TropicalMatrix:
             if ncols is None:
                 raise DimensionError("empty matrix needs an explicit ncols")
             self.ncols = ncols
+        self._support = tuple([tuple([i for i, e in enumerate(r) if e != NEG_INF])
+                               for r in self.rows])
 
     @property
     def nrows(self):
@@ -118,35 +129,35 @@ def _check_len(x, y):
 def vec_oplus(x, y):
     """Entrywise max."""
     _check_len(x, y)
-    return TropicalVector(a if a >= b else b for a, b in zip(x, y))
+    return _vec(tuple([a if a >= b else b for a, b in zip(x.entries, y.entries)]))
 
 
 def vec_meet(x, y):
     """Entrywise min."""
     _check_len(x, y)
-    return TropicalVector(a if a <= b else b for a, b in zip(x, y))
+    return _vec(tuple([a if a <= b else b for a, b in zip(x.entries, y.entries)]))
 
 
 def vec_scale(x, lam):
     """Translate every entry by lam (lower addition), the scalar action."""
     lam = scalar(lam)
-    return TropicalVector(lower_add(e, lam) for e in x)
+    if lam == NEG_INF or lam == POS_INF:
+        return _vec(tuple([lower_add(e, lam) for e in x.entries]))
+    return _vec(tuple([e + lam for e in x.entries]))
 
 
 def leq(x, y):
     """Entrywise order."""
     _check_len(x, y)
-    return all(a <= b for a, b in zip(x, y))
+    return all(a <= b for a, b in zip(x.entries, y.entries))
 
 
 def row_apply(a, x):
     """max_i (a_i + x_i) with lower addition; -inf on empty support."""
     _check_len(a, x)
     best = NEG_INF
-    for ai, xi in zip(a, x):
-        if ai.is_neg_inf:
-            continue
-        t = lower_add(ai, xi)
+    for ai, xi in zip(a.entries, x.entries):
+        t = ai + xi  # NaN on (-inf, +inf), skipped by the comparison
         if t > best:
             best = t
     return best
@@ -156,7 +167,17 @@ def mat_apply(A, x):
     """The vector (row_apply(row, x) for each row)."""
     if A.ncols != len(x):
         raise DimensionError(f"matrix has {A.ncols} columns, vector has {len(x)}")
-    return TropicalVector(row_apply(r, x) for r in A.rows)
+    xs = x.entries
+    out = []
+    for row, support in zip(A.rows, A._support):
+        a = row.entries
+        best = NEG_INF
+        for i in support:
+            t = a[i] + xs[i]  # NaN on (+inf, -inf), skipped by the comparison
+            if t > best:
+                best = t
+        out.append(best)
+    return _vec(tuple(out))
 
 
 def vec_residual(x, y):
@@ -169,10 +190,8 @@ def vec_residual(x, y):
     """
     _check_len(x, y)
     best = POS_INF
-    for xi, yi in zip(x, y):
-        if xi.is_neg_inf:
-            continue
-        t = scalar_residual(xi, yi)
+    for xi, yi in zip(x.entries, y.entries):
+        t = yi - xi  # NaN where upper addition gives +inf: skipped
         if t < best:
             best = t
     return best
@@ -182,7 +201,8 @@ def residuated_row_preimage(a, t):
     """The greatest x with row_apply(a, x) <= t, entrywise
     scalar_residual(a_i, t)."""
     t = scalar(t)
-    return TropicalVector(scalar_residual(ai, t) for ai in a)
+    return _vec(tuple([POS_INF if ai == NEG_INF or t == POS_INF else t - ai
+                       for ai in a.entries]))
 
 
 def residuated_apply(B, y):
@@ -194,27 +214,13 @@ def residuated_apply(B, y):
     if B.nrows != len(y):
         raise DimensionError(f"matrix has {B.nrows} rows, vector has {len(y)}")
     out = [POS_INF] * B.ncols
-    for row, yj in zip(B.rows, y):
-        for i, bij in enumerate(row):
-            if bij.is_neg_inf:
-                continue
-            t = scalar_residual(bij, yj)
+    for row, support, yj in zip(B.rows, B._support, y.entries):
+        b = row.entries
+        for i in support:
+            t = yj - b[i]  # NaN on (+inf, +inf), skipped by the comparison
             if t < out[i]:
                 out[i] = t
-    return TropicalVector(out)
-
-
-def mat_residual(B, Y):
-    """The greatest X with B X <= Y, column by column.  Provided for
-    completeness; nothing in the solvers needs the matrix form."""
-    if B.nrows != Y.nrows:
-        raise DimensionError(f"row counts {B.nrows} vs {Y.nrows}")
-    cols = []
-    for c in range(Y.ncols):
-        y = TropicalVector(row[c] for row in Y.rows)
-        cols.append(residuated_apply(B, y))
-    rows = [[cols[c][j] for c in range(Y.ncols)] for j in range(B.ncols)]
-    return TropicalMatrix(rows, ncols=Y.ncols)
+    return _vec(tuple(out))
 
 
 # --- text formats ----------------------------------------------------------
@@ -262,11 +268,11 @@ def parse_vector(text, mode=None):
     if len(toks) != n:
         raise ParseError(f"expected {n} entries, got {len(toks)}", line=lineno,
                          column=toks[0][1])
-    entries = [_parse_entry(t, c, lineno, mode) for t, c in toks]
+    entries = tuple([_parse_entry(t, c, lineno, mode) for t, c in toks])
     for extra_lineno, extra in lines:
         raise ParseError("trailing tokens after the vector", line=extra_lineno,
                          column=extra[0][1])
-    return TropicalVector(entries)
+    return _vec(entries)
 
 
 def parse_matrix(text, mode=None):
@@ -290,7 +296,7 @@ def parse_matrix(text, mode=None):
         if len(toks) != n:
             raise ParseError(f"expected {n} entries in row, got {len(toks)}",
                              line=lineno, column=toks[0][1])
-        rows.append([_parse_entry(t, c, lineno, mode) for t, c in toks])
+        rows.append(_vec(tuple([_parse_entry(t, c, lineno, mode) for t, c in toks])))
     for extra_lineno, extra in lines:
         raise ParseError("trailing tokens after the matrix", line=extra_lineno,
                          column=extra[0][1])

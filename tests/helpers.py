@@ -12,6 +12,10 @@ NEG = mp.NEG_INF
 POS = mp.POS_INF
 
 
+def finite(e):
+    return NEG < e < POS
+
+
 def v(*entries):
     return mp.vector(entries)
 
@@ -111,7 +115,7 @@ def planted_system(rng, n_max=6, p_max=6, lo=-8, hi=8):
     rows_a, rows_b = [], []
     for _ in range(p):
         a = [rand_entry(rng, lo, hi, 0.4) for _ in range(n)]
-        av = max((e.value + sol_i for e, sol_i in zip(a, sol) if e.is_finite),
+        av = max((e + sol_i for e, sol_i in zip(a, sol) if finite(e)),
                  default=None)
         b = []
         for i in range(n):
@@ -137,7 +141,7 @@ def rand_semimodule(rng, n, q, lo=-3, hi=3, p_neg_inf=0.2):
     gens = []
     for _ in range(q):
         g = [rand_entry(rng, lo, hi, p_neg_inf) for _ in range(n)]
-        if all(e.is_neg_inf for e in g):
+        if all(e == NEG for e in g):
             g[rng.randrange(n)] = mp.scalar(rng.randint(lo, hi))
         gens.append(g)
     return mp.GeneratedSemimodule(gens, n=n)

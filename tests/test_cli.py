@@ -76,6 +76,30 @@ def test_compare_json(files, capsys):
     assert got["sandwich"] is True
     assert got["cyclic"]["finite_additions"] > 0
     assert got["power"]["finite_additions"] > got["cyclic"]["finite_additions"]
+    # cyclic: 2 sweeps of 5 rows, each |I| + |J| = 2; power: 6 steps of
+    # 5 + 5; both add 2 * 6 + 1 for the bound n * d(u, limit)
+    assert (got["cyclic"]["finite_additions"], got["cyclic"]["iterations"]) == (33, 1)
+    assert (got["power"]["finite_additions"], got["power"]["iterations"]) == (73, 5)
+
+
+def test_compare_counts_when_the_iterate_reaches_minus_inf(files, capsys):
+    # the last row pins x_2 to -inf, after which x_1 and then x_0 follow
+    # the rows that still reach a finite entry
+    a = files("A.txt", "3 4\n-inf -1 -inf 0\n-inf -inf -1 -inf\n"
+                       "-inf -inf -inf -inf\n")
+    b = files("B.txt", "3 4\n0 -inf -inf -inf\n-inf 0 -inf -inf\n"
+                       "-inf -inf 0 -inf\n")
+    u = files("u.txt", "4\n5 5 5 0\n")
+    rc, out, _ = run(capsys, ["compare", "--a", a, "--b", b, "--init", u,
+                              "--output", "json"])
+    assert rc == 0
+    got = json.loads(out)
+    for method in ("cyclic", "power"):
+        side = got[method]
+        assert side["solution"] == ["0", "-inf", "-inf", "0"]
+        assert (side["finite_additions"], side["iterations"]) == (16, 3)
+    assert got["cyclic"]["trace"][3] == ["4", "4", "-inf", "0"]
+    assert got["sandwich"] is True
 
 
 def test_canonicalize_json(files, capsys):

@@ -11,10 +11,8 @@ from maxplus.errors import (ClassificationError, InfiniteDistanceError,
 from maxplus.halfspace import Kind
 from maxplus.oracle import GridSpec, grid_min_distance, grid_projection, grid_vectors
 from helpers import (DISJ_H, DISJ_X, NEG, POS, RULTER_H, SUBFACE_H, SUBFACE_X,
+                     finite,
                      rand_halfspace, rand_vector, v)
-
-FIN = mp.ExtendedReal
-
 
 def test_contains():
     assert mp.contains(RULTER_H, v(1, 1, 0))
@@ -44,9 +42,9 @@ def test_bottom_only_means_bottom_only():
     H = mp.HalfSpace([NEG, -5], [0, -1])
     assert mp.classify(H) is Kind.BOTTOM_ONLY
     for h in grid_vectors(2, GridSpec(-3, 3, infinity_patterns=True)):
-        if any(e.is_pos_inf for e in h):
+        if any(e == POS for e in h):
             continue
-        assert mp.contains(H, h) == all(e.is_neg_inf for e in h)
+        assert mp.contains(H, h) == all(e == NEG for e in h)
 
 
 def test_canonicalize_known_values():
@@ -93,7 +91,7 @@ def test_canonical_equivalence_random():
             points = (rand_vector(rng, n, -6, 6, 0.15) for _ in range(300))
         for h in points:
             # the equivalence is a statement about the -inf-extended space
-            if any(e.is_pos_inf for e in h):
+            if any(e == POS for e in h):
                 continue
             assert mp.contains(H, h) == mp.contains(C, h)
 
@@ -167,9 +165,9 @@ def test_project_is_maximal_on_grid():
 
 
 def test_distance_known_values():
-    assert mp.distance(DISJ_H, DISJ_X) == FIN(1)
-    assert mp.distance(SUBFACE_H, SUBFACE_X) == FIN(2)
-    assert mp.distance(RULTER_H, v(0, 1, 1)) == FIN(0)
+    assert mp.distance(DISJ_H, DISJ_X) == 1
+    assert mp.distance(SUBFACE_H, SUBFACE_X) == 2
+    assert mp.distance(RULTER_H, v(0, 1, 1)) == 0
     assert mp.distance(RULTER_H, v(NEG, NEG, NEG)) == NEG
     # a' wiped out against x: nothing of the a side survives, distance +inf
     H = mp.HalfSpace([NEG, 0], [0, NEG])
@@ -179,33 +177,33 @@ def test_distance_known_values():
 
 def test_best_approx_single_face_segment():
     got = mp.best_approx_set(RULTER_H, v(2, 1, 0))
-    assert got.base_distance == FIN(1)
+    assert got.base_distance == 1
     assert len(got.faces) == 1
     f = got.faces[0]
     assert f.pivot == 1
-    assert f.fixed == {1: FIN(0), 0: FIN(0)}
-    assert f.box == {2: (FIN(-2), FIN(-1))}
+    assert f.fixed == {1: 0, 0: 0}
+    assert f.box == {2: (-2, -1)}
 
 
 def test_best_approx_two_faces():
     got = mp.best_approx_set(DISJ_H, DISJ_X)
-    assert got.base_distance == FIN(1)
+    assert got.base_distance == 1
     assert [f.pivot for f in got.faces] == [0, 2]
     f1, f3 = got.faces
-    assert f1.fixed == {0: FIN(0), 1: FIN(0)}
-    assert f1.box == {2: (FIN(-1), FIN(0))}
-    assert f3.fixed == {2: FIN(0), 1: FIN(0)}
-    assert f3.box == {0: (FIN(-1), FIN(0))}
+    assert f1.fixed == {0: 0, 1: 0}
+    assert f1.box == {2: (-1, 0)}
+    assert f3.fixed == {2: 0, 1: 0}
+    assert f3.box == {0: (-1, 0)}
 
 
 def test_best_approx_subface():
     got = mp.best_approx_set(SUBFACE_H, SUBFACE_X)
-    assert got.base_distance == FIN(2)
+    assert got.base_distance == 2
     assert len(got.faces) == 1
     f = got.faces[0]
     assert f.pivot == 2
-    assert f.fixed == {2: FIN(0), 1: FIN(0)}
-    assert f.box == {0: (FIN(-1), FIN(0))}
+    assert f.fixed == {2: 0, 1: 0}
+    assert f.box == {0: (-1, 0)}
 
 
 def test_best_approx_contains_projection_and_translates():
@@ -214,8 +212,8 @@ def test_best_approx_contains_projection_and_translates():
         got = mp.best_approx_set(H, x)
         P = mp.project(H, x)
         assert got.contains(P)
-        assert got.contains(mp.vec_scale(P, FIN(7)))
-        assert got.contains(mp.vec_scale(P, FIN(-3)))
+        assert got.contains(mp.vec_scale(P, 7))
+        assert got.contains(mp.vec_scale(P, -3))
 
 
 def test_best_approx_errors():
@@ -246,7 +244,7 @@ def test_is_best_approx_matches_faces_and_distance_on_grid():
         if mp.classify(H) is not Kind.PROPER or mp.contains(H, x):
             continue
         d = mp.distance(H, x)
-        if not d.is_finite:
+        if not finite(d):
             continue
         checked += 1
         approx = mp.best_approx_set(H, x)
@@ -266,7 +264,7 @@ def test_best_approx_lies_in_two_balls():
         if mp.classify(H) is not Kind.PROPER or mp.contains(H, x):
             continue
         d = mp.distance(H, x)
-        if not d.is_finite:
+        if not finite(d):
             continue
         checked += 1
         P = mp.project(H, x)
@@ -283,7 +281,7 @@ def test_project_and_distance_match_grid_oracles():
         x = rand_vector(rng, n, -2, 2)
         G = GridSpec(-8, 4, infinity_patterns=True)
         assert mp.project(H, x) == grid_projection(H, x, G)
-        if all(e.is_finite for e in x):
+        if all(finite(e) for e in x):
             d_grid, _ = grid_min_distance(H, x, G)
             assert mp.distance(H, x) == d_grid
 

@@ -3,19 +3,25 @@ projection and the whole-system fixed-point iteration, plus the
 sandwich comparison and the divergence-guarded feasibility wrapper."""
 
 import random
+import tracemalloc
 
 import pytest
 
 import maxplus as mp
-from maxplus.errors import DimensionError
-from maxplus.extreal import op_count, reset_op_count
+from maxplus.errors import DimensionError, MaxplusError, UnsupportedCaseError
 from maxplus.solvers import Status, default_divergence_cap
 from helpers import (NEG, POS, RING_CYCLIC_STEPS, RING_LIMIT,
-                     RING_POWER_STEPS, chain_system, planted_system,
+                     RING_POWER_STEPS, chain_system, finite, planted_system,
                      ring_ineq_system, v)
 
-FIN = mp.ExtendedReal
 U6 = v(0, 0, 0, 0, 0, 0)
+
+
+def chase_system():
+    """x_1 <= x_2 - 1 and x_2 <= x_1 - 1, with x_3 free: the first two
+    coordinates chase each other down forever."""
+    return mp.InequalitySystem(mp.matrix([[NEG, -1, NEG], [-1, NEG, NEG]]),
+                               mp.matrix([[0, NEG, NEG], [NEG, 0, NEG]]))
 
 
 def ring(n):
@@ -83,10 +89,10 @@ def test_chain_iteration_counts():
 
 def test_distance_bound_is_ordinary_product():
     r = mp.cyclic_solve(ring_ineq_system(), U6)
-    assert r.distance_bound_used == FIN(30)  # 6 coordinates, distance 5
+    assert r.distance_bound_used == 30  # 6 coordinates, distance 5
     r = mp.power_solve(chain_system(), v(5, 5, 0))
-    assert r.distance_bound_used == FIN(15)
-    assert r.iterations <= r.distance_bound_used.value
+    assert r.distance_bound_used == 15
+    assert r.iterations <= r.distance_bound_used
 
 
 def test_iteration_cap():
@@ -162,8 +168,8 @@ def test_iterations_within_reported_bound():
         S, u, _ = planted_system(rng)
         for solve in (mp.cyclic_solve, mp.power_solve):
             r = solve(S, u)
-            if r.distance_bound_used.is_finite:
-                assert r.iterations <= r.distance_bound_used.value
+            if finite(r.distance_bound_used):
+                assert r.iterations <= r.distance_bound_used
 
 
 def test_sandwich_random():
@@ -202,11 +208,8 @@ def test_single_row_infeasibility_needs_no_guard():
 
 
 def test_feasibility_partial_divergence():
-    # x_1 <= x_2 - 1 and x_2 <= x_1 - 1 chase each other down forever;
-    # the guard cuts the descent and x_3 survives
-    S = mp.InequalitySystem(mp.matrix([[NEG, -1, NEG], [-1, NEG, NEG]]),
-                            mp.matrix([[0, NEG, NEG], [NEG, 0, NEG]]))
-    r = mp.feasibility(S, v(0, 0, 0))
+    # the guard cuts the descent of the chase and x_3 survives
+    r = mp.feasibility(chase_system(), v(0, 0, 0))
     assert r.status == "FiniteSolution"
     assert r.witness == v(NEG, NEG, 0)
     assert r.pinned == (0, 1)
@@ -221,8 +224,31 @@ def test_feasibility_full_divergence():
 
 
 def test_feasibility_requires_finite_start():
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedCaseError):
         mp.feasibility(ring_ineq_system(), v(0, 0, 0, 0, 0, NEG))
+
+
+def test_feasibility_sweep_cap_is_a_maxplus_error():
+    # the chase needs many sweeps before the guard pins it
+    with pytest.raises(MaxplusError, match="no fixed point within 5 sweeps"):
+        mp.feasibility(chase_system(), v(0, 0, 0), max_iters=5)
+
+
+def test_untraced_capped_solve_keeps_no_iterates():
+    # an endless descent cut by the cap: without keep_trace the memory
+    # peak must not grow with the number of iterations
+    for solve in (mp.cyclic_solve, mp.power_solve):
+        peaks = []
+        for cap in (200, 2000):
+            tracemalloc.start()
+            try:
+                r = solve(chase_system(), v(0, 0, 0), max_iters=cap)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert r.status is Status.ITERATION_CAP_HIT and r.iterations == cap
+            assert r.trace is None
+        assert peaks[1] < peaks[0] + 20_000, (solve.__name__, peaks)
 
 
 def test_default_divergence_cap_value():
@@ -235,12 +261,8 @@ def test_operation_count_scaling():
     for n in (6, 12, 24, 48):
         S = ring(n)
         u = mp.vector([0] * n)
-        reset_op_count()
-        mp.cyclic_solve(S, u)
-        c = op_count()
-        reset_op_count()
-        mp.power_solve(S, u)
-        counts[n] = (c, op_count())
+        counts[n] = (mp.cyclic_solve(S, u).finite_additions,
+                     mp.power_solve(S, u).finite_additions)
     # per-sweep work is O(total row support) for the cyclic method but
     # O(n * total row support) for the fixed-point step, so doubling n
     # doubles one count and quadruples the other
