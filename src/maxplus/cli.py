@@ -38,6 +38,7 @@ from . import semimodule as sm
 from . import solvers
 from .errors import (InfiniteDistanceError, MaxplusError, PointInSetError)
 from .extreal import NEG_INF, POS_INF, format_scalar
+from .hilbert_metric import hilbert_distance
 from .tropical_linalg import format_vector, parse_matrix, parse_vector
 
 DEFAULT_TOL = 1e-9
@@ -108,6 +109,8 @@ def _report_json(report):
     }
     if report.trace is not None:
         out["trace"] = [_tokens(p) for p in report.trace.points]
+    if report.pinned:
+        out["pinned"] = list(report.pinned)
     return out
 
 
@@ -117,6 +120,8 @@ def _print_report(label, report):
     print(f"iterations: {report.iterations}")
     print(f"solution: {' '.join(_tokens(report.solution))}")
     print(f"iteration bound n*d(u,limit): {format_scalar(report.distance_bound_used)}")
+    if report.pinned:
+        print(f"pinned: {list(report.pinned)}")
     if report.trace is not None:
         print("trace:")
         for p in report.trace.points:
@@ -303,19 +308,18 @@ def cmd_separate(args):
     reduced = NEG_INF in P.entries or NEG_INF in x.entries or POS_INF in x.entries
     if reduced:
         try:
-            x_r, V_r, index_map = sm.reduce_problem(V, x)
+            x_r, _, index_map, P_r = sm._reduce(V, x)
         except InfiniteDistanceError:
             _emit(args, {"distance": "+inf", "separable": False},
                   lambda: print("distance is +inf: no element of the "
                                 "semimodule has the support of the point"))
             return 0
-        H = sm.universal_halfspace(V_r, x_r)
-        d = sm.distance_to(V_r, x_r)
         index_map = list(index_map)
     else:
-        H = sm.universal_halfspace(V, x)
-        d = sm.distance_to(V, x)
+        x_r, P_r = x, P
         index_map = list(range(len(x)))
+    H = sm._separating_halfspace(x_r, P_r)
+    d = hilbert_distance(x_r, P_r)
     payload = {
         "a": _tokens(H.a),
         "b": _tokens(H.b),

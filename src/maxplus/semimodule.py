@@ -115,7 +115,11 @@ def universal_halfspace(V, x):
     reduce_problem first when x itself has -inf entries.
     """
     _check_dim(V, x)
-    P = project(V, x)
+    return _separating_halfspace(x, project(V, x))
+
+
+def _separating_halfspace(x, P):
+    """universal_halfspace built from x and its projection P."""
     if P == x:
         raise PointInSetError("the point belongs to the semimodule")
     bad = [i for i, e in enumerate(P) if not NEG_INF < e < POS_INF]
@@ -151,6 +155,11 @@ def reduce_problem(V, x):
     support of x, and an unsupported-case error when x has a +inf
     entry or no finite one.
     """
+    return _reduce(V, x)[:3]
+
+
+def _reduce(V, x):
+    """reduce_problem, plus the projection of x' onto V' it computes."""
     _check_dim(V, x)
     supp, lsupp, _ = supports(x)
     if len(lsupp) != len(x):
@@ -169,7 +178,7 @@ def reduce_problem(V, x):
     if NEG_INF in P_prime.entries:
         raise InfiniteDistanceError(
             "no element of the semimodule has the support of x")
-    return x_prime, V_prime, I
+    return x_prime, V_prime, I, P_prime
 
 
 def lift_point(v, I, n):

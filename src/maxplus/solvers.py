@@ -27,14 +27,22 @@ computed post hoc from the limit.
 
 Termination is an exactly unchanged sweep / step, or, given a
 tolerance, one whose largest entry change is below it (entries at an
-infinity must match exactly).  There is no finite-time test for
-"the only solution below u is bottom": iterates then sink forever, so
-feasibility() adds a certified cutoff for integer data, pinning any
-coordinate that falls below min(u) - n * D_cap to -inf (such a
-coordinate is -inf in the limit once D_cap exceeds the largest
-coordinate spread a solution can have, and the default cap
-(n + p + 2) * (M + 1) for entry magnitude M does).  Pinned indices are
-reported so the cutoff is visible in the output.
+infinity must match exactly).  Where the limit has -inf coordinates
+that u lacks, those coordinates sink forever, so both solvers (and
+feasibility, a reading of the cyclic run) carry one divergence guard
+for a finite u and p > 0: after each sweep or step, every coordinate
+below the floor min(u) - n * default_divergence_cap(S, u) is pinned to
+-inf.  A finite limit coordinate never lies that low: the limit
+touches u somewhere (else a translate of it would be a greater
+solution below u), and the cap (n + p + 2) * (M + 1), M the largest
+finite entry magnitude, exceeds the coordinate spread a solution can
+have.  The iterates stay at or above the limit, so a pinned coordinate
+is -inf in the limit, and the greatest solution below the pinned point
+is that same limit.  On integer data each sweep or step that moves
+lowers a coordinate by at least 1, so a sinking run ends in finite
+time, Solved with -inf entries or BottomReached.  Until an entry falls
+below min(u) - 2n(n + p + 2), the highest the floor can be, the guard
+costs one comparison per sweep or step.  Pinned indices are reported.
 
 Reports count the additions of two finite scalars.  Which ones a sweep
 or step performs depends only on where its start is infinite, so each
@@ -101,7 +109,8 @@ class IterationTrace:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """finite_additions includes those computing distance_bound_used."""
+    """finite_additions includes those computing distance_bound_used;
+    pinned lists the coordinates the divergence guard set to -inf."""
 
     status: Status
     solution: TropicalVector
@@ -109,6 +118,7 @@ class SolveReport:
     distance_bound_used: object
     finite_additions: int
     trace: IterationTrace | None = None
+    pinned: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -126,12 +136,52 @@ def _is_bottom(x):
     return all(e == NEG_INF for e in x.entries)
 
 
-def _infinite_entries(x):
-    """The (index, value) pairs of the infinite entries of x."""
+def _scan(x):
+    """(pattern, lo, hi) for the iterate x: pattern is the (index, value)
+    pairs of its infinite entries, lo its lowest finite entry (+inf if
+    none), hi its highest entry (-inf exactly when x is bottom)."""
     xs = x.entries
-    if not xs or (NEG_INF < min(xs) and max(xs) < POS_INF):
-        return ()
-    return tuple([(i, e) for i, e in enumerate(xs) if not NEG_INF < e < POS_INF])
+    if not xs:
+        return (), POS_INF, NEG_INF
+    lo, hi = min(xs), max(xs)
+    if NEG_INF < lo and hi < POS_INF:
+        return (), lo, hi
+    finite = [e for e in xs if NEG_INF < e < POS_INF]
+    return (tuple([(i, e) for i, e in enumerate(xs) if not NEG_INF < e < POS_INF]),
+            min(finite) if finite else POS_INF, hi)
+
+
+class _Guard:
+    """The divergence guard of the module docstring for a run from u.
+
+    A finite entry below watch calls for cut: watch is -inf (never)
+    without a guard, min(u) - 2 n (n + p + 2), the highest the floor
+    can be, until cut first computes the floor, and the floor after.
+    """
+
+    __slots__ = ("S", "u", "cap", "watch", "pinned")
+
+    def __init__(self, S, u, divergence_cap=None):
+        self.S, self.u, self.cap, self.pinned = S, u, divergence_cap, set()
+        xs = u.entries
+        if S.p == 0 or not xs or not all(NEG_INF < e < POS_INF for e in xs):
+            self.watch = NEG_INF
+        else:
+            self.watch = min(xs) - S.n * (2 * (S.n + S.p + 2) if divergence_cap is None
+                                          else divergence_cap)
+
+    def cut(self, x):
+        """x with every finite entry below the floor at -inf; None when
+        no entry is that low."""
+        if self.cap is None:
+            self.cap = default_divergence_cap(self.S, self.u)
+        floor = self.watch = min(self.u.entries) - self.S.n * self.cap
+        xs = x.entries
+        sunk = [i for i, e in enumerate(xs) if NEG_INF < e < floor]
+        if not sunk:
+            return None
+        self.pinned.update(sunk)
+        return _vec(tuple([NEG_INF if NEG_INF < e < floor else e for e in xs]))
 
 
 def _max_change_ok(prev, cur, tol):
@@ -159,6 +209,12 @@ def _bound_from(u, solution):
     if not NEG_INF < d < POS_INF:
         return d, 2 * both
     return len(u) * d, 2 * both + 1
+
+
+def _report(u, status, x, iterations, additions, trace, pinned):
+    bound, extra = _bound_from(u, x) if status is Status.SOLVED else (POS_INF, 0)
+    return SolveReport(status, x, iterations, bound, additions + extra, trace,
+                       tuple(sorted(pinned)))
 
 
 def _row_additions(C, x):
@@ -205,104 +261,127 @@ def _prepare_rows(S):
     return prepared, None
 
 
-def cyclic_solve(S, u, max_iters=DEFAULT_MAX_ITERS, tol=None, keep_trace=False):
-    """Round-robin projection onto the row half-spaces.
-
-    max_iters caps the number of sweeps; iterations reports the number
-    of sweeps that changed the iterate.
-    """
+def _cyclic_run(S, u, max_iters, tol=None, points=None, ends=None,
+                divergence_cap=None):
+    """The guarded sweep loop of cyclic_solve, feasibility and
+    sandwich_check.  Returns (status, x, sweeps, additions, pinned);
+    sweeps counts the sweeps that changed the iterate.  points, if
+    given, receives every new iterate value (row steps and pins), ends
+    every sweep end."""
     _check_start(S, u)
-    points = [u] if keep_trace else None
     rows, bottom_row = _prepare_rows(S)
-    additions = 0
-
-    def report(status, x, sweeps):
-        bound, extra = _bound_from(u, x) if status is Status.SOLVED else (POS_INF, 0)
-        trace = IterationTrace(tuple(points), "cyclic", S.p) if keep_trace else None
-        return SolveReport(status, x, sweeps, bound, additions + extra, trace)
-
     if bottom_row is not None:
         bot = _vec((NEG_INF,) * S.n)
-        if keep_trace and u != bot:
+        if points is not None and u != bot:
             points.append(bot)
-        return report(Status.BOTTOM_REACHED, bot, 0 if _is_bottom(u) else 1)
+        if ends is not None:
+            ends.append(bot)
+        return Status.BOTTOM_REACHED, bot, 0 if _is_bottom(u) else 1, 0, ()
 
+    guard = _Guard(S, u, divergence_cap)
     x = u
-    sweeps = 0
+    pattern, lo, hi = _scan(x)
+    sweeps = additions = 0
     sweep_additions = {}
     while True:
         if sweeps >= max_iters:
-            return report(Status.ITERATION_CAP_HIT, x, sweeps)
+            return Status.ITERATION_CAP_HIT, x, sweeps, additions, guard.pinned
         before = x
-        pattern = _infinite_entries(x)
         known = sweep_additions.get(pattern)
         count = 0
         for C in rows:
             if known is None:
                 count += _row_additions(C, x)
             nxt = project_canonical(C, x)
-            if keep_trace and nxt is not x:
+            if points is not None and nxt is not x:
                 points.append(nxt)
             x = nxt
         if known is None:
             sweep_additions[pattern] = known = count
         additions += known
+        pattern, lo, hi = _scan(x)
+        if lo < guard.watch:
+            cut = guard.cut(x)
+            if cut is not None:
+                x = cut
+                pattern, lo, hi = _scan(x)
+                if points is not None:
+                    points.append(x)
+        if ends is not None:
+            ends.append(x)
         if _max_change_ok(before, x, tol):
-            return report(Status.SOLVED, x, sweeps)
+            return Status.SOLVED, x, sweeps, additions, guard.pinned
         sweeps += 1
-        if _is_bottom(x):
-            return report(Status.BOTTOM_REACHED, x, sweeps)
+        if hi == NEG_INF:
+            return Status.BOTTOM_REACHED, x, sweeps, additions, guard.pinned
+
+
+def cyclic_solve(S, u, max_iters=DEFAULT_MAX_ITERS, tol=None, keep_trace=False):
+    """Round-robin projection onto the row half-spaces, guarded against
+    endless descent (module docstring).
+
+    max_iters caps the number of sweeps; iterations reports the number
+    of sweeps that changed the iterate.
+    """
+    points = [u] if keep_trace else None
+    status, x, sweeps, additions, pinned = _cyclic_run(S, u, max_iters, tol, points)
+    trace = IterationTrace(tuple(points), "cyclic", S.p) if keep_trace else None
+    return _report(u, status, x, sweeps, additions, trace, pinned)
 
 
 def power_solve(S, u, max_iters=DEFAULT_MAX_ITERS, tol=None, keep_trace=False):
-    """Whole-system fixed-point iteration eta <- B#(A eta) /\\ eta."""
+    """Whole-system fixed-point iteration eta <- B#(A eta) /\\ eta, with
+    the divergence guard of cyclic_solve."""
     _check_start(S, u)
     points = [u] if keep_trace else None
-    additions = 0
+    guard = _Guard(S, u)
 
     def report(status, x, steps):
-        bound, extra = _bound_from(u, x) if status is Status.SOLVED else (POS_INF, 0)
         trace = IterationTrace(tuple(points), "power") if keep_trace else None
-        return SolveReport(status, x, steps, bound, additions + extra, trace)
+        return _report(u, status, x, steps, additions, trace, guard.pinned)
 
     x = u
-    steps = 0
+    pattern, lo, hi = _scan(x)
+    steps = additions = 0
     step_additions = {}
     while True:
         if steps >= max_iters:
             return report(Status.ITERATION_CAP_HIT, x, steps)
         y = mat_apply(S.A, x)
         nxt = vec_meet(residuated_apply(S.B, y), x)
-        pattern = _infinite_entries(x)
         count = step_additions.get(pattern)
         if count is None:
             count = step_additions[pattern] = _step_additions(S, x, y)
         additions += count
+        pattern, lo, hi = _scan(nxt)
+        if lo < guard.watch:
+            cut = guard.cut(nxt)
+            if cut is not None:
+                nxt = cut
+                pattern, lo, hi = _scan(nxt)
         if _max_change_ok(x, nxt, tol):
             return report(Status.SOLVED, x, steps)
         if keep_trace:
             points.append(nxt)
         x = nxt
         steps += 1
-        if _is_bottom(x):
+        if hi == NEG_INF:
             return report(Status.BOTTOM_REACHED, x, steps)
 
 
 def sandwich_check(S, u, k_max=None):
     """Verify limit <= xi^{pk} <= eta^k for all k up to k_max (default:
     until both sequences are stationary).  Returns False as soon as an
-    inequality fails or the two limits disagree."""
+    inequality fails, a method hits the default cap, or the two limits
+    disagree."""
     _check_start(S, u)
-    cyc = cyclic_solve(S, u, keep_trace=True)
+    sweep_ends = [u]
+    status, limit, _, _, _ = _cyclic_run(S, u, DEFAULT_MAX_ITERS, ends=sweep_ends)
+    if status is Status.ITERATION_CAP_HIT:
+        return False
     pow_ = power_solve(S, u, keep_trace=True)
-    if cyc.status is not Status.SOLVED and cyc.status is not Status.BOTTOM_REACHED:
+    if pow_.status is Status.ITERATION_CAP_HIT or pow_.solution != limit:
         return False
-    if pow_.status is not Status.SOLVED and pow_.status is not Status.BOTTOM_REACHED:
-        return False
-    if cyc.solution != pow_.solution:
-        return False
-    limit = cyc.solution
-    sweep_ends = _sweep_ends(S, u)
     steps = list(pow_.trace.points)
     if k_max is None:
         k_max = max(len(sweep_ends), len(steps)) - 1
@@ -312,23 +391,6 @@ def sandwich_check(S, u, k_max=None):
         if not (leq(limit, xi_pk) and leq(xi_pk, eta_k)):
             return False
     return True
-
-
-def _sweep_ends(S, u):
-    """The iterates xi^{p k} of the cyclic method, k = 0, 1, ...,
-    ending at the first stationary sweep."""
-    rows, bottom_row = _prepare_rows(S)
-    if bottom_row is not None:
-        return [u, _vec((NEG_INF,) * S.n)]
-    out = [u]
-    x = u
-    while True:
-        before = x
-        for C in rows:
-            x = project_canonical(C, x)
-        out.append(x)
-        if x == before or _is_bottom(x):
-            return out
 
 
 def default_divergence_cap(S, u):
@@ -347,38 +409,23 @@ def default_divergence_cap(S, u):
 def feasibility(S, u, max_iters=DEFAULT_MAX_ITERS, divergence_cap=None):
     """Whether some nonbottom solution lies below the finite start u.
 
-    Runs the cyclic method with the divergence guard of the module
-    docstring; coordinates that sink below min(u) - n * divergence_cap
-    are pinned to -inf (they are -inf in the limit), which turns the
-    endless descent of infeasible coordinates into a finite
-    computation on integer data.  Raises UnsupportedCaseError for a
-    non-finite start, MaxplusError after max_iters sweeps.
+    The guarded cyclic run of cyclic_solve, read as a certificate:
+    Solved gives "FiniteSolution" with the limit as witness,
+    BottomReached gives "OnlyBottom", and pinned carries the
+    coordinates the guard set to -inf.  divergence_cap replaces
+    default_divergence_cap in the floor min(u) - n * divergence_cap.
+    Raises UnsupportedCaseError for a non-finite start, MaxplusError
+    after max_iters sweeps.
     """
     _check_start(S, u)
     if not all(NEG_INF < e < POS_INF for e in u.entries):
         raise UnsupportedCaseError("feasibility needs a finite starting point")
-    if S.p == 0:
-        return FeasibilityResult("FiniteSolution", u)
-    rows, bottom_row = _prepare_rows(S)
-    if bottom_row is not None:
-        return FeasibilityResult("OnlyBottom", None)
-    if divergence_cap is None:
-        divergence_cap = default_divergence_cap(S, u)
-    floor = min(u.entries) - S.n * divergence_cap
-    pinned = set()
-    x = u
-    for _ in range(max_iters):
-        before = x
-        for C in rows:
-            x = project_canonical(C, x)
-        sunk = [i for i, e in enumerate(x.entries) if NEG_INF < e < floor]
-        if sunk:
-            pinned.update(sunk)
-            x = _vec(tuple([NEG_INF if i in pinned else e
-                            for i, e in enumerate(x.entries)]))
-        if _is_bottom(x):
-            return FeasibilityResult("OnlyBottom", None, tuple(sorted(pinned)))
-        if x == before:
-            return FeasibilityResult("FiniteSolution", x, tuple(sorted(pinned)))
+    status, x, _, _, pinned = _cyclic_run(S, u, max_iters,
+                                          divergence_cap=divergence_cap)
+    pinned = tuple(sorted(pinned))
+    if status is Status.SOLVED:
+        return FeasibilityResult("FiniteSolution", x, pinned)
+    if status is Status.BOTTOM_REACHED:
+        return FeasibilityResult("OnlyBottom", None, pinned)
     raise MaxplusError(f"no fixed point within {max_iters} sweeps; "
                        "raise max_iters or lower divergence_cap")

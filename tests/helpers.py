@@ -64,6 +64,14 @@ def chain_system():
     return mp.InequalitySystem(A, B)
 
 
+def chase_system():
+    """x_1 <= x_2 - 1 and x_2 <= x_1 - 1, with x_3 free: the first two
+    coordinates chase each other down forever, so only the divergence
+    guard ends a solve from a finite start."""
+    return mp.InequalitySystem(mp.matrix([[NEG, -1, NEG], [-1, NEG, NEG]]),
+                               mp.matrix([[0, NEG, NEG], [NEG, 0, NEG]]))
+
+
 # --- figure examples -------------------------------------------------------
 
 # the span of {(0,0,-inf), (-inf,0,-inf), (-inf,-inf,0)}: all v with
@@ -109,8 +117,12 @@ def planted_system(rng, n_max=6, p_max=6, lo=-8, hi=8):
     """A random system together with a planted finite solution sol and
     a finite start u >= sol, so the greatest solution below u is
     nonbottom with finite distance from u."""
-    n = rng.randint(1, n_max)
-    p = rng.randint(1, p_max)
+    return planted_system_sized(rng, rng.randint(1, n_max),
+                                rng.randint(1, p_max), lo, hi)
+
+
+def planted_system_sized(rng, n, p, lo=-8, hi=8):
+    """planted_system with p rows in dimension n."""
     sol = [rng.randint(lo, hi) for _ in range(n)]
     rows_a, rows_b = [], []
     for _ in range(p):
@@ -162,3 +174,56 @@ def semimodule_grid_members(V, G):
             seen.add(w)
             out.append(w)
     return out
+
+
+def dense_system(rng, n, p, lo, hi):
+    """Plain lists A, B (p x n) and a start u, every entry finite and
+    uniform in [lo, hi]: about a quarter of these systems sink."""
+    A = [[rng.randint(lo, hi) for _ in range(n)] for _ in range(p)]
+    B = [[rng.randint(lo, hi) for _ in range(n)] for _ in range(p)]
+    u = [rng.randint(lo, hi) for _ in range(n)]
+    return A, B, u
+
+
+def reference_greatest_solution(A, B, u):
+    """The greatest x <= u with A x >= B x for plain lists and a finite
+    start u, without the library: cyclic projection onto the rows,
+    pinning to -inf every coordinate below the divergence floor
+    min(u) - n (n + p + 2) (M + 1), M the largest entry magnitude.
+    Returns (x, pinned indices, sweeps that changed x)."""
+    n, p = len(u), len(A)
+    m = max([1] + [abs(e) for r in A + B for e in r if finite(e)]
+            + [abs(e) for e in u])
+    floor = min(u) - n * (n + p + 2) * (m + 1)
+
+    def row_max(a, x):
+        return max([ai + xi for ai, xi in zip(a, x) if finite(ai)], default=NEG)
+
+    rows = []
+    for a, b in zip(A, B):
+        if all(ai >= bi for ai, bi in zip(a, b)):
+            continue  # every point satisfies this row
+        if all(ai < bi for ai, bi in zip(a, b)):
+            return [NEG] * n, set(), 1  # only bottom does: one step to it
+        # canonical form: drop a_i where b_i wins, then x_j <= a'x - b_j
+        a_prime = [ai if ai >= bi else NEG for ai, bi in zip(a, b)]
+        rows.append((a_prime, [(j, bj) for j, (aj, bj) in enumerate(zip(a, b))
+                               if aj < bj]))
+    x = list(u)
+    pinned = set()
+    sweeps = 0
+    while True:
+        before = list(x)
+        for a_prime, lowered in rows:
+            t = row_max(a_prime, x)
+            for j, bj in lowered:
+                x[j] = min(x[j], t - bj)
+        for i, e in enumerate(x):
+            if finite(e) and e < floor:
+                x[i] = NEG
+                pinned.add(i)
+        if x == before:
+            return x, pinned, sweeps
+        sweeps += 1
+        if all(e == NEG for e in x):
+            return x, pinned, sweeps

@@ -2,6 +2,7 @@
 and text output, exit codes, mode inference, and the environment cap."""
 
 import json
+import random
 import shutil
 import subprocess
 import sys
@@ -9,9 +10,10 @@ import sys
 import pytest
 
 import maxplus as mp
+from maxplus import semimodule, solvers
 from maxplus.cli import main
-from helpers import (DISJ_H, DISJ_X, EVAX_GENS, NEG, chain_system,
-                     ring_ineq_system, v)
+from helpers import (DISJ_H, DISJ_X, EVAX_GENS, chain_system,
+                     chase_system, planted_system_sized, ring_ineq_system, v)
 
 
 @pytest.fixture
@@ -23,11 +25,14 @@ def files(tmp_path):
     return write
 
 
-def ring_files(files):
-    S = ring_ineq_system()
+def system_files(files, S, u):
     return (files("A.txt", mp.format_matrix(S.A)),
             files("B.txt", mp.format_matrix(S.B)),
-            files("u.txt", mp.format_vector(v(0, 0, 0, 0, 0, 0))))
+            files("u.txt", mp.format_vector(u)))
+
+
+def ring_files(files):
+    return system_files(files, ring_ineq_system(), v(0, 0, 0, 0, 0, 0))
 
 
 def run(capsys, argv):
@@ -100,6 +105,77 @@ def test_compare_counts_when_the_iterate_reaches_minus_inf(files, capsys):
         assert (side["finite_additions"], side["iterations"]) == (16, 3)
     assert got["cyclic"]["trace"][3] == ["4", "4", "-inf", "0"]
     assert got["sandwich"] is True
+
+
+def test_solve_reports_pinned_coordinates(files, capsys):
+    # the chase sinks forever; the divergence guard pins x_1 and x_2
+    a, b, u = system_files(files, chase_system(), v(0, 0, 0))
+    argv = ["solve", "--a", a, "--b", b, "--init", u]
+    rc, out, _ = run(capsys, argv + ["--output", "json"])
+    assert rc == 0
+    got = json.loads(out)
+    assert got["status"] == "Solved"
+    assert got["solution"] == ["-inf", "-inf", "0"]
+    assert got["pinned"] == [0, 1]
+    rc, out, _ = run(capsys, argv)
+    assert rc == 0 and "pinned: [0, 1]" in out
+    rc, out, _ = run(capsys, ["compare", "--a", a, "--b", b, "--init", u,
+                              "--output", "json"])
+    assert rc == 0
+    got = json.loads(out)
+    assert got["cyclic"]["pinned"] == got["power"]["pinned"] == [0, 1]
+    assert got["solutions_agree"] is True and got["sandwich"] is True
+
+
+def test_pinned_key_only_when_something_is_pinned(files, capsys):
+    a, b, u = ring_files(files)
+    for cmd in ("solve", "compare"):
+        rc, out, _ = run(capsys, [cmd, "--a", a, "--b", b, "--init", u,
+                                  "--output", "json"])
+        assert rc == 0 and "pinned" not in out
+        rc, out, _ = run(capsys, [cmd, "--a", a, "--b", b, "--init", u])
+        assert rc == 0 and "pinned" not in out
+
+
+def counting(monkeypatch, module, name):
+    """Count the calls made through module.name."""
+    calls = [0]
+    inner = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[0] += 1
+        return inner(*args, **kwargs)
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_compare_sweeps_at_most_twice_solve(files, capsys, monkeypatch):
+    S, u, _ = planted_system_sized(random.Random(97), 20, 20)
+    a, b, u = system_files(files, S, u)
+    calls = counting(monkeypatch, solvers, "project_canonical")
+    argv = ["--a", a, "--b", b, "--init", u, "--output", "json"]
+    assert run(capsys, ["solve", "--method", "both"] + argv)[0] == 0
+    solve_calls, calls[0] = calls[0], 0
+    assert run(capsys, ["compare"] + argv)[0] == 0
+    assert solve_calls > 0
+    assert calls[0] <= 2 * solve_calls
+
+
+def test_separate_projects_once(files, capsys, monkeypatch):
+    calls = counting(monkeypatch, semimodule, "project")
+    g = files("V.txt", mp.format_generators(EVAX_GENS))
+    x = files("x.txt", "3\n2 1 0\n")
+    rc, out, _ = run(capsys, ["separate", "--generators", g, "--point", x,
+                              "--output", "json"])
+    assert rc == 0 and json.loads(out)["reduced"] is False
+    assert calls[0] == 1
+    calls[0] = 0
+    g = files("V2.txt", "2 3\n0 0 0\n0 -inf -1\n")
+    x = files("x2.txt", "3\n3 -inf 1\n")
+    rc, out, _ = run(capsys, ["separate", "--generators", g, "--point", x,
+                              "--output", "json"])
+    assert rc == 0 and json.loads(out)["reduced"] is True
+    assert calls[0] <= 2
 
 
 def test_canonicalize_json(files, capsys):

@@ -11,17 +11,11 @@ import maxplus as mp
 from maxplus.errors import DimensionError, MaxplusError, UnsupportedCaseError
 from maxplus.solvers import Status, default_divergence_cap
 from helpers import (NEG, POS, RING_CYCLIC_STEPS, RING_LIMIT,
-                     RING_POWER_STEPS, chain_system, finite, planted_system,
-                     ring_ineq_system, v)
+                     RING_POWER_STEPS, chain_system, chase_system,
+                     dense_system, finite, planted_system,
+                     reference_greatest_solution, ring_ineq_system, v)
 
 U6 = v(0, 0, 0, 0, 0, 0)
-
-
-def chase_system():
-    """x_1 <= x_2 - 1 and x_2 <= x_1 - 1, with x_3 free: the first two
-    coordinates chase each other down forever."""
-    return mp.InequalitySystem(mp.matrix([[NEG, -1, NEG], [-1, NEG, NEG]]),
-                               mp.matrix([[0, NEG, NEG], [NEG, 0, NEG]]))
 
 
 def ring(n):
@@ -215,12 +209,70 @@ def test_feasibility_partial_divergence():
     assert r.pinned == (0, 1)
 
 
+def full_divergence_system():
+    return mp.InequalitySystem(mp.matrix([[NEG, -1], [-1, NEG]]),
+                               mp.matrix([[0, NEG], [NEG, 0]]))
+
+
 def test_feasibility_full_divergence():
-    S = mp.InequalitySystem(mp.matrix([[NEG, -1], [-1, NEG]]),
-                            mp.matrix([[0, NEG], [NEG, 0]]))
-    r = mp.feasibility(S, v(0, 0))
+    r = mp.feasibility(full_divergence_system(), v(0, 0))
     assert r.status == "OnlyBottom"
     assert r.pinned == (0, 1)
+
+
+def test_solvers_pin_the_chase():
+    # the guard of feasibility ends both solvers on a partly sinking system
+    for solve in (mp.cyclic_solve, mp.power_solve):
+        r = solve(chase_system(), v(0, 0, 0), max_iters=100)
+        assert r.status is Status.SOLVED, solve.__name__
+        assert r.solution == v(NEG, NEG, 0)
+        assert r.pinned == (0, 1)
+        assert r.distance_bound_used == POS
+
+
+def test_solvers_reach_bottom_on_full_divergence():
+    for solve in (mp.cyclic_solve, mp.power_solve):
+        r = solve(full_divergence_system(), v(0, 0))
+        assert r.status is Status.BOTTOM_REACHED, solve.__name__
+        assert r.solution == v(NEG, NEG)
+        assert r.pinned == (0, 1)
+
+
+def test_guard_needs_a_finite_start():
+    # from a start with a -inf entry the solvers run as before: the
+    # chase is cut by the cap, nothing is pinned
+    for solve in (mp.cyclic_solve, mp.power_solve):
+        r = solve(chase_system(), v(0, 0, NEG), max_iters=100)
+        assert r.status is Status.ITERATION_CAP_HIT and r.pinned == ()
+
+
+def test_guarded_solvers_match_reference_on_dense_systems():
+    # dense systems sink about a quarter of the time; every run must end
+    # certified, and cyclic, power, feasibility and a plain-Python
+    # reference with the same floor must agree on the limit
+    rng = random.Random(96)
+    sinking = 0
+    for _ in range(2000):
+        A, B, u = dense_system(rng, 5, 5, -3, 3)
+        S = mp.InequalitySystem(mp.matrix(A), mp.matrix(B))
+        uv = mp.vector(u)
+        want, pinned, sweeps = reference_greatest_solution(A, B, u)
+        rc = mp.cyclic_solve(S, uv)
+        rp = mp.power_solve(S, uv)
+        f = mp.feasibility(S, uv)
+        sinking += bool(pinned)
+        bottom = all(e == NEG for e in want)
+        for r in (rc, rp):
+            assert r.status is (Status.BOTTOM_REACHED if bottom else Status.SOLVED)
+            assert r.solution == mp.vector(want)
+        assert (rc.pinned, rc.iterations) == (tuple(sorted(pinned)), sweeps)
+        assert f.status == ("OnlyBottom" if bottom else "FiniteSolution")
+        if not bottom:
+            assert f.witness == rc.solution
+        x = rc.solution
+        assert mp.leq(mp.mat_apply(S.B, x), mp.mat_apply(S.A, x))
+        assert mp.leq(x, uv)
+    assert sinking > 300
 
 
 def test_feasibility_requires_finite_start():
@@ -235,14 +287,16 @@ def test_feasibility_sweep_cap_is_a_maxplus_error():
 
 
 def test_untraced_capped_solve_keeps_no_iterates():
-    # an endless descent cut by the cap: without keep_trace the memory
-    # peak must not grow with the number of iterations
+    # a long descent cut by the cap: without keep_trace the memory peak
+    # must not grow with the number of iterations.  The large x_3 puts
+    # the divergence floor ~2 * 10**7 below the start, so the chase
+    # still runs into the cap rather than being pinned
     for solve in (mp.cyclic_solve, mp.power_solve):
         peaks = []
         for cap in (200, 2000):
             tracemalloc.start()
             try:
-                r = solve(chase_system(), v(0, 0, 0), max_iters=cap)
+                r = solve(chase_system(), v(0, 0, 10**6), max_iters=cap)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
