@@ -9,9 +9,12 @@
     maxplus separate --generators V.txt --point x.txt
     maxplus compare --a A.txt --b B.txt --init u.txt
 
-File formats (whitespace tokens; -inf, +inf, integers, decimals, p/q):
-vectors are "n" then one row; matrices and generator families are
-"p n" then p rows; half-spaces are "n" then the a row then the b row.
+File format (tropical_linalg.parse_rows): a count line, then rows of
+whitespace-separated tokens (-inf, +inf, inf, -infinity, ... in any
+case; integers, decimals, p/q), one row a line; blank lines are
+ignored.  A vector is "n" then its row; a half-space is "n" then the
+a row then the b row; a matrix or generator family is "p n" then p
+rows.  Nothing else (no comments) may appear.
 
 Mode: --mode int parses integers only and terminates on exact fixed
 points; --mode float parses floats and terminates at --tol (default
@@ -44,12 +47,14 @@ from .tropical_linalg import format_vector, parse_matrix, parse_vector
 DEFAULT_TOL = 1e-9
 
 
-def _read(path):
+def _load(args, parse, path):
+    """Read one input file and parse it under the requested mode."""
     try:
         with open(path, "r", encoding="utf-8") as f:
-            return f.read()
+            text = f.read()
     except OSError as e:
         raise MaxplusError(f"cannot read {path}: {e.strerror}") from None
+    return parse(text, args.mode)
 
 
 def _all_integral(A, B, u):
@@ -58,11 +63,6 @@ def _all_integral(A, B, u):
     entries.extend(u)
     return all(isinstance(e, int) or e == NEG_INF or e == POS_INF
                for e in entries)
-
-
-def _load(args, parse, path):
-    """Parse one input file under the requested or inferred mode."""
-    return parse(_read(path), args.mode)
 
 
 def _resolve_mode(args, A, B, u):
@@ -165,7 +165,8 @@ def cmd_compare(args):
     cyc = solvers.cyclic_solve(S, u, max_iters=cap, tol=args.tol, keep_trace=True)
     pow_ = solvers.power_solve(S, u, max_iters=cap, tol=args.tol, keep_trace=True)
     agree = cyc.solution == pow_.solution
-    sandwich = solvers.sandwich_check(S, u) if args.tol is None else None
+    sandwich = (solvers.sandwich_check(S, u, max_iters=cap)
+                if args.tol is None else None)
 
     def side(report):
         d = _report_json(report)

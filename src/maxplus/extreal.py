@@ -96,23 +96,22 @@ def scalar_residual(mu, nu):
 
 # --- text tokens -----------------------------------------------------------
 
-_NEG_TOKENS = frozenset({"-inf", "-Inf", "-INF", "-infinity", "-Infinity"})
-_POS_TOKENS = frozenset({"+inf", "inf", "+Inf", "Inf", "+INF", "INF",
-                         "+infinity", "infinity", "+Infinity", "Infinity"})
+_INF_TOKENS = {"-inf": NEG_INF, "-infinity": NEG_INF, "inf": POS_INF,
+               "+inf": POS_INF, "infinity": POS_INF, "+infinity": POS_INF}
 
 
 def parse_scalar(token, mode=None):
-    """Parse one token: an infinity, a decimal integer, a decimal
-    fraction like "2.5", or a ratio like "5/2".
+    """Parse one token: an infinity (-inf, +inf, inf, -infinity, ... in
+    any case), a decimal integer, a decimal fraction like "2.5", or a
+    ratio like "5/2".
 
     mode "int" restricts finite tokens to integers (exact backend);
     mode "float" makes finite tokens floats; mode None keeps integers
     exact and everything else float.
     """
-    if token in _NEG_TOKENS:
-        return NEG_INF
-    if token in _POS_TOKENS:
-        return POS_INF
+    inf = _INF_TOKENS.get(token.lower())
+    if inf is not None:
+        return inf
     try:
         if mode == "int":
             return _finite(int(token))

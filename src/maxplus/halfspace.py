@@ -45,12 +45,12 @@ import enum
 from dataclasses import dataclass, field
 
 from .errors import (ClassificationError, DimensionError,
-                     InfiniteDistanceError, ParseError, PointInSetError,
+                     InfiniteDistanceError, PointInSetError,
                      UnsupportedCaseError)
-from .extreal import NEG_INF, POS_INF, format_scalar, lower_add, scalar_residual
+from .extreal import NEG_INF, POS_INF, lower_add, scalar_residual
 from .hilbert_metric import hilbert_distance
-from .tropical_linalg import (TropicalVector, _parse_count, _parse_entry,
-                              _token_lines, _vec, row_apply, vec_oplus)
+from .tropical_linalg import (TropicalVector, _vec, format_rows, parse_rows,
+                              row_apply, vec_oplus)
 
 
 class Kind(enum.Enum):
@@ -357,34 +357,10 @@ def is_best_approx(H, x, h):
 # --- text format -----------------------------------------------------------
 
 def parse_halfspace(text, mode=None):
-    """Parse "n" then the a row then the b row."""
-    lines = _token_lines(text)
-    try:
-        lineno, toks = next(lines)
-    except StopIteration:
-        raise ParseError("empty input, expected a dimension line") from None
-    if len(toks) != 1:
-        raise ParseError(f"dimension line must hold one token, got {len(toks)}",
-                         line=lineno, column=toks[1][1])
-    n = _parse_count(toks[0][0], toks[0][1], lineno, "a dimension")
-    rows = []
-    for name in ("a", "b"):
-        try:
-            lineno, toks = next(lines)
-        except StopIteration:
-            raise ParseError(f"expected the {name} row") from None
-        if len(toks) != n:
-            raise ParseError(f"expected {n} entries in the {name} row, got "
-                             f"{len(toks)}", line=lineno, column=toks[0][1])
-        rows.append([_parse_entry(t, c, lineno, mode) for t, c in toks])
-    for extra_lineno, extra in lines:
-        raise ParseError("trailing tokens after the half-space",
-                         line=extra_lineno, column=extra[0][1])
-    return HalfSpace(rows[0], rows[1])
+    """Parse "n" then the a row then the b row (tropical_linalg.parse_rows)."""
+    (a, b), _ = parse_rows(text, mode, nrows=2)
+    return HalfSpace(a, b)
 
 
 def format_halfspace(H):
-    lines = [str(H.n),
-             " ".join(format_scalar(e) for e in H.a),
-             " ".join(format_scalar(e) for e in H.b)]
-    return "\n".join(lines) + "\n"
+    return format_rows((H.n,), (H.a, H.b))

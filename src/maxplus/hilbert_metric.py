@@ -1,4 +1,4 @@
-"""Supports, parts, and the projective distance between vectors.
+"""Parts, supports, and the projective distance between vectors.
 
 For x, y in (R u {-inf, +inf})^n put
 
@@ -29,20 +29,6 @@ from .extreal import NEG_INF, POS_INF, lower_add
 from .tropical_linalg import _vec, vec_residual
 
 
-def supports(x):
-    """(supp, lsupp, usupp): the finite, below-+inf and above--inf
-    index sets.  supp = lsupp & usupp always."""
-    supp, lsupp, usupp = set(), set(), set()
-    for i, e in enumerate(x):
-        if e != POS_INF:
-            lsupp.add(i)
-        if e != NEG_INF:
-            usupp.add(i)
-        if NEG_INF < e < POS_INF:
-            supp.add(i)
-    return frozenset(supp), frozenset(lsupp), frozenset(usupp)
-
-
 @dataclass(frozen=True)
 class PartDescriptor:
     """Which part of (R u {-inf, +inf})^n a vector lies in.
@@ -64,6 +50,9 @@ class PartDescriptor:
 
 
 def part_of(x):
+    """The finite / -inf / +inf partition of x's indices.  supp is the
+    support; supp | sigma_pos (the indices above -inf) and supp |
+    sigma_neg (those below +inf) are the other two supports."""
     supp = set()
     sigma_neg = set()
     sigma_pos = set()

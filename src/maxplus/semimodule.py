@@ -34,7 +34,7 @@ from .errors import (DimensionError, InfiniteDistanceError, PointInSetError,
                      UnsupportedCaseError)
 from .extreal import NEG_INF, POS_INF
 from .halfspace import HalfSpace
-from .hilbert_metric import hilbert_distance, restrict, supports
+from .hilbert_metric import hilbert_distance, part_of, restrict
 from .tropical_linalg import (TropicalMatrix, TropicalVector, _vec,
                               format_matrix, parse_matrix, vec_oplus,
                               vec_residual, vec_scale)
@@ -161,16 +161,16 @@ def reduce_problem(V, x):
 def _reduce(V, x):
     """reduce_problem, plus the projection of x' onto V' it computes."""
     _check_dim(V, x)
-    supp, lsupp, _ = supports(x)
-    if len(lsupp) != len(x):
+    part = part_of(x)
+    if part.sigma_pos:
         raise UnsupportedCaseError("cannot reduce a point with +inf entries")
-    if not supp:
+    if not part.supp:
         raise UnsupportedCaseError("cannot reduce a point with no finite entry")
-    I = tuple(sorted(supp))
+    I = tuple(sorted(part.supp))
     kept = []
     for g in V.generators:
-        g_supp, g_lsupp, g_usupp = supports(g)
-        if len(g_lsupp) == len(g) and g_usupp <= supp:
+        g_part = part_of(g)
+        if not g_part.sigma_pos and g_part.supp <= part.supp:
             kept.append(restrict(g, I))
     x_prime = restrict(x, I)
     V_prime = GeneratedSemimodule(kept, n=len(I))

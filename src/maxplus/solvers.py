@@ -369,23 +369,21 @@ def power_solve(S, u, max_iters=DEFAULT_MAX_ITERS, tol=None, keep_trace=False):
             return report(Status.BOTTOM_REACHED, x, steps)
 
 
-def sandwich_check(S, u, k_max=None):
-    """Verify limit <= xi^{pk} <= eta^k for all k up to k_max (default:
-    until both sequences are stationary).  Returns False as soon as an
-    inequality fails, a method hits the default cap, or the two limits
+def sandwich_check(S, u, max_iters=DEFAULT_MAX_ITERS):
+    """Verify limit <= xi^{pk} <= eta^k for every k until both sequences
+    are stationary.  Returns False as soon as an inequality fails, a
+    method hits max_iters (sweeps or steps), or the two limits
     disagree."""
     _check_start(S, u)
     sweep_ends = [u]
-    status, limit, _, _, _ = _cyclic_run(S, u, DEFAULT_MAX_ITERS, ends=sweep_ends)
+    status, limit, _, _, _ = _cyclic_run(S, u, max_iters, ends=sweep_ends)
     if status is Status.ITERATION_CAP_HIT:
         return False
-    pow_ = power_solve(S, u, keep_trace=True)
+    pow_ = power_solve(S, u, max_iters=max_iters, keep_trace=True)
     if pow_.status is Status.ITERATION_CAP_HIT or pow_.solution != limit:
         return False
     steps = list(pow_.trace.points)
-    if k_max is None:
-        k_max = max(len(sweep_ends), len(steps)) - 1
-    for k in range(k_max + 1):
+    for k in range(max(len(sweep_ends), len(steps))):
         xi_pk = sweep_ends[min(k, len(sweep_ends) - 1)]
         eta_k = steps[min(k, len(steps) - 1)]
         if not (leq(limit, xi_pk) and leq(xi_pk, eta_k)):

@@ -22,12 +22,17 @@ what the finite part costs.  Native + and - get only (-inf, +inf)
 wrong, as NaN, which compares false: a max (min) reduction written as
 "if t > best" ("<") skips it, as lower (upper) addition asks.
 
-Text formats (whitespace-separated tokens, see extreal.parse_scalar):
+Text format (whitespace-separated tokens, see extreal.parse_scalar):
+every object is a count line, then rows of n tokens, one row a line;
+blank lines are ignored, so a row of width 0 takes no line.
 
-    vector:  line "n", then one line of n tokens
-    matrix:  line "p n", then p lines of n tokens
+    vector:      "n", then 1 row        (parse_vector / format_vector)
+    half-space:  "n", then rows a, b    (halfspace.parse_halfspace)
+    matrix:      "p n", then p rows     (parse_matrix / format_matrix;
+                                         generator families alike)
 
-format_vector / format_matrix invert the parsers token for token.
+parse_rows reads them all and format_rows writes them, token for token
+its inverse, at every n and p including 0.
 """
 
 from __future__ import annotations
@@ -244,71 +249,64 @@ def _parse_entry(token, col, lineno, mode):
         raise ParseError(str(e), line=lineno, column=col) from None
 
 
-def _parse_count(token, col, lineno, what):
-    if not token.isdigit():
-        raise ParseError(f"expected {what}, got {token!r}", line=lineno, column=col)
-    return int(token)
+def parse_rows(text, mode=None, nrows=None):
+    """Read the one text format: a count line, then rows of n tokens.
+
+    The count line is "n" when nrows is given and "p n" otherwise, and
+    p = nrows rows follow.  Blank lines are ignored, so a row of width
+    0 takes no line.  Returns (rows, n), rows a tuple of vectors.
+    """
+    lines = _token_lines(text)
+    lineno, toks = next(lines, (None, ()))
+    if lineno is None:
+        raise ParseError("empty input, expected a count line")
+    shape = "n" if nrows is not None else "p n"
+    want = len(shape.split())
+    if len(toks) != want:  # cite the first surplus token, else the last
+        raise ParseError(f"count line must be {shape!r}, got {len(toks)} tokens",
+                         line=lineno, column=toks[min(want, len(toks) - 1)][1])
+    for t, c in toks:
+        if not t.isdecimal():
+            raise ParseError(f"expected a nonnegative integer count, got {t!r}",
+                             line=lineno, column=c)
+    n = int(toks[-1][0])
+    p = int(toks[0][0]) if nrows is None else nrows
+    rows = []
+    for _ in range(p):
+        lineno, toks = next(lines, (None, ())) if n else (0, ())  # width 0: no line
+        if lineno is None:
+            raise ParseError(f"expected {p} row(s) of {n} entries, got {len(rows)}")
+        if len(toks) != n:
+            raise ParseError(f"expected {n} entries in row {len(rows) + 1}, "
+                             f"got {len(toks)}",
+                             line=lineno, column=toks[0][1])
+        rows.append(_vec(tuple([_parse_entry(t, c, lineno, mode) for t, c in toks])))
+    for lineno, toks in lines:
+        raise ParseError(f"trailing tokens after {p} row(s)", line=lineno,
+                         column=toks[0][1])
+    return tuple(rows), n
+
+
+def format_rows(counts, rows):
+    """The text parse_rows reads back: the count line, then each row."""
+    lines = [" ".join(map(str, counts))]
+    lines.extend(" ".join([format_scalar(e) for e in r]) for r in rows)
+    return "\n".join(lines) + "\n"
 
 
 def parse_vector(text, mode=None):
-    """Parse the "n" + entries format; blank lines are ignored."""
-    lines = _token_lines(text)
-    try:
-        lineno, toks = next(lines)
-    except StopIteration:
-        raise ParseError("empty input, expected a length line") from None
-    if len(toks) != 1:
-        raise ParseError(f"length line must hold one token, got {len(toks)}",
-                         line=lineno, column=toks[1][1])
-    n = _parse_count(toks[0][0], toks[0][1], lineno, "a length")
-    try:
-        lineno, toks = next(lines)
-    except StopIteration:
-        raise ParseError(f"expected {n} entries after the length line") from None
-    if len(toks) != n:
-        raise ParseError(f"expected {n} entries, got {len(toks)}", line=lineno,
-                         column=toks[0][1])
-    entries = tuple([_parse_entry(t, c, lineno, mode) for t, c in toks])
-    for extra_lineno, extra in lines:
-        raise ParseError("trailing tokens after the vector", line=extra_lineno,
-                         column=extra[0][1])
-    return _vec(entries)
+    rows, _ = parse_rows(text, mode, nrows=1)
+    return rows[0]
 
 
 def parse_matrix(text, mode=None):
-    """Parse the "p n" + rows format; blank lines are ignored."""
-    lines = _token_lines(text)
-    try:
-        lineno, toks = next(lines)
-    except StopIteration:
-        raise ParseError("empty input, expected a shape line") from None
-    if len(toks) != 2:
-        raise ParseError(f"shape line must hold two tokens, got {len(toks)}",
-                         line=lineno, column=toks[0][1])
-    p = _parse_count(toks[0][0], toks[0][1], lineno, "a row count")
-    n = _parse_count(toks[1][0], toks[1][1], lineno, "a column count")
-    rows = []
-    for _ in range(p):
-        try:
-            lineno, toks = next(lines)
-        except StopIteration:
-            raise ParseError(f"expected {p} rows, got {len(rows)}") from None
-        if len(toks) != n:
-            raise ParseError(f"expected {n} entries in row, got {len(toks)}",
-                             line=lineno, column=toks[0][1])
-        rows.append(_vec(tuple([_parse_entry(t, c, lineno, mode) for t, c in toks])))
-    for extra_lineno, extra in lines:
-        raise ParseError("trailing tokens after the matrix", line=extra_lineno,
-                         column=extra[0][1])
+    rows, n = parse_rows(text, mode)
     return TropicalMatrix(rows, ncols=n)
 
 
 def format_vector(x):
-    return f"{len(x)}\n" + " ".join(format_scalar(e) for e in x) + "\n"
+    return format_rows((len(x),), (x,))
 
 
 def format_matrix(A):
-    lines = [f"{A.nrows} {A.ncols}"]
-    for r in A.rows:
-        lines.append(" ".join(format_scalar(e) for e in r))
-    return "\n".join(lines) + "\n"
+    return format_rows((A.nrows, A.ncols), A.rows)

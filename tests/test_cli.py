@@ -3,16 +3,18 @@ and text output, exit codes, mode inference, and the environment cap."""
 
 import json
 import random
+import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import maxplus as mp
 from maxplus import semimodule, solvers
 from maxplus.cli import main
-from helpers import (DISJ_H, DISJ_X, EVAX_GENS, chain_system,
+from helpers import (DISJ_H, DISJ_X, EVAX_GENS, NEG, chain_system,
                      chase_system, planted_system_sized, ring_ineq_system, v)
 
 
@@ -159,6 +161,17 @@ def test_compare_sweeps_at_most_twice_solve(files, capsys, monkeypatch):
     assert run(capsys, ["compare"] + argv)[0] == 0
     assert solve_calls > 0
     assert calls[0] <= 2 * solve_calls
+    # --max-iters bounds the sandwich check too; a capped run fails it
+    a, b, u = system_files(files, chase_system(), v(500, 500, 0))
+    argv = ["--a", a, "--b", b, "--init", u, "--max-iters", "2", "--output", "json"]
+    calls[0] = 0
+    assert run(capsys, ["solve", "--method", "both"] + argv)[0] == 1
+    solve_calls, calls[0] = calls[0], 0
+    rc, out, _ = run(capsys, ["compare"] + argv)
+    got = json.loads(out)
+    assert rc == 1 and got["cyclic"]["status"] == got["power"]["status"] == "IterationCapHit"
+    assert got["sandwich"] is False
+    assert 0 < calls[0] <= 2 * solve_calls
 
 
 def test_separate_projects_once(files, capsys, monkeypatch):
@@ -306,6 +319,18 @@ def test_separate_infinite_distance(files, capsys):
                               "--output", "json"])
     assert rc == 0
     assert json.loads(out) == {"distance": "+inf", "separable": False}
+
+
+def test_readme_file_formats_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    fenced = re.findall(r"^```(\w*)\n(.*?)^```$", readme, re.S | re.M)
+    blocks = [body for lang, body in fenced if not lang]  # the file examples
+    assert len(blocks) == 3
+    vector_text, halfspace_text, matrix_text = blocks
+    assert mp.parse_vector(vector_text) == v(2, 1, 0)
+    assert mp.parse_halfspace(halfspace_text) == mp.HalfSpace([-2, -1, 0], [-1, -1, 0])
+    assert mp.parse_matrix(matrix_text).rows == (v(0, 0, 0), v(0, NEG, -1))
+    assert mp.parse_generators(matrix_text).generators == (v(0, 0, 0), v(0, NEG, -1))
 
 
 def test_parse_error_exit_2(files, capsys):

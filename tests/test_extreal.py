@@ -180,6 +180,18 @@ def test_parse_tokens():
     assert parse_scalar("5/2") == Fraction(5, 2)
 
 
+def test_infinity_tokens_ignore_case():
+    for mode in (None, "int", "float"):
+        for tok in ("-inf", "-INF", "-iNf", "-infinity", "-INFINITY", "-InFiNiTy"):
+            assert parse_scalar(tok, mode) == NEG_INF, tok
+        for tok in ("inf", "INF", "+iNf", "infinity", "INFINITY", "+INFINITY",
+                    "+Infinity"):
+            assert parse_scalar(tok, mode) == POS_INF, tok
+        for bad in ("nan", "NaN", "+nan", "-NAN", "infinite", "--inf", "+-inf"):
+            with pytest.raises(ValueError):
+                parse_scalar(bad, mode)
+
+
 def test_int_mode_refuses_non_integers():
     with pytest.raises(ValueError):
         parse_scalar("2.5", mode="int")

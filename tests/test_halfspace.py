@@ -4,6 +4,8 @@ projection, distance, and the best-approximation set."""
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import maxplus as mp
 from maxplus.errors import (ClassificationError, InfiniteDistanceError,
@@ -300,3 +302,16 @@ def test_halfspace_text_round_trip():
     with pytest.raises(mp.ParseError) as e:
         mp.parse_halfspace("2\n0 -inf\noops -inf\n")
     assert e.value.line == 3 and e.value.column == 1
+    H = mp.HalfSpace([], [])
+    assert mp.format_halfspace(H) == "0\n\n\n"
+    assert mp.parse_halfspace(mp.format_halfspace(H)) == H
+
+
+coefficients = st.one_of(st.just(NEG), st.integers(min_value=-9, max_value=9))
+
+
+@given(st.integers(min_value=0, max_value=5).flatmap(
+    lambda n: st.tuples(*[st.lists(coefficients, min_size=n, max_size=n)] * 2)))
+def test_halfspace_round_trip(ab):
+    H = mp.HalfSpace(*ab)
+    assert mp.parse_halfspace(mp.format_halfspace(H)) == H

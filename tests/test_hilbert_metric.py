@@ -15,19 +15,29 @@ def vectors(n):
     return st.lists(scalars, min_size=n, max_size=n).map(mp.vector)
 
 
+def supports(x):
+    """(supp, lsupp, usupp) read off part_of: the finite, below-+inf and
+    above--inf index sets."""
+    part = mp.part_of(x)
+    return (part.supp, part.supp | part.sigma_neg, part.supp | part.sigma_pos)
+
+
 def test_supports():
-    supp, lsupp, usupp = mp.supports(v(2, NEG, 0))
+    supp, lsupp, usupp = supports(v(2, NEG, 0))
     assert (supp, lsupp, usupp) == ({0, 2}, {0, 1, 2}, {0, 2})
-    supp, lsupp, usupp = mp.supports(v(NEG, NEG))
+    supp, lsupp, usupp = supports(v(NEG, NEG))
     assert (supp, lsupp, usupp) == (set(), {0, 1}, set())
-    supp, lsupp, usupp = mp.supports(v(POS, 0))
+    supp, lsupp, usupp = supports(v(POS, 0))
     assert (supp, lsupp, usupp) == ({1}, {1}, {0, 1})
 
 
 @given(vectors(4))
 def test_supp_is_lsupp_meet_usupp(x):
-    supp, lsupp, usupp = mp.supports(x)
+    part = mp.part_of(x)
+    supp, lsupp, usupp = supports(x)
     assert supp == lsupp & usupp
+    assert part.supp | part.sigma_neg | part.sigma_pos == set(range(4))
+    assert len(part.supp) + len(part.sigma_neg) + len(part.sigma_pos) == 4
 
 
 def test_anti_distance():

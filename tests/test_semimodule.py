@@ -4,6 +4,8 @@ orthogonality, and reduction to the support of the target point."""
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import maxplus as mp
 from maxplus.errors import (DimensionError, InfiniteDistanceError,
@@ -171,7 +173,7 @@ def test_part_containment():
         x = rand_vector(rng, n, -3, 3, p_neg_inf=0.3)
         P = mp.project_semimodule(V, x)
         if finite(mp.hilbert_distance(x, P)):
-            assert mp.supports(P)[0] == mp.supports(x)[0]
+            assert mp.part_of(P).supp == mp.part_of(x).supp
 
 
 def test_reduce_problem_identity_on_finite():
@@ -236,3 +238,21 @@ def test_generator_text_round_trip():
     W = mp.parse_generators(text)
     assert W.generators == EVAX_GENS.generators
     assert W.n == 3
+    for V in (mp.GeneratedSemimodule([], n=0), mp.GeneratedSemimodule([], n=2),
+              mp.GeneratedSemimodule([[], [], []])):
+        W = mp.parse_generators(mp.format_generators(V))
+        assert (W.generators, W.n) == (V.generators, V.n)
+
+
+scalars = st.one_of(st.just(NEG), st.just(POS),
+                    st.integers(min_value=-9, max_value=9))
+
+
+@given(st.integers(min_value=0, max_value=4).flatmap(
+    lambda n: st.lists(st.lists(scalars, min_size=n, max_size=n),
+                       min_size=0, max_size=4).map(lambda gens: (gens, n))))
+def test_generators_round_trip(family):
+    gens, n = family
+    V = mp.GeneratedSemimodule(gens, n=n)
+    W = mp.parse_generators(mp.format_generators(V))
+    assert (W.generators, W.n) == (V.generators, V.n)

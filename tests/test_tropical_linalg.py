@@ -168,14 +168,42 @@ def test_int_mode_rejects_floats_with_position():
     assert e.value.line == 2 and e.value.column == 3
 
 
-@given(st.lists(scalars, min_size=1, max_size=7))
+def test_count_must_be_a_decimal_integer():
+    with pytest.raises(ParseError) as e:
+        mp.parse_vector("\u00b2\n1 2\n")
+    assert e.value.line == 1 and e.value.column == 1
+
+
+def test_parse_rows():
+    rows, n = mp.parse_rows("2 3\n0 -inf 2\n\n-1 -2 +inf\n")
+    assert (rows, n) == ((v(0, NEG, 2), v(-1, -2, POS)), 3)
+    assert mp.parse_rows("3\n1 2 3\n4 5 6\n", nrows=2) == ((v(1, 2, 3), v(4, 5, 6)), 3)
+    assert mp.parse_rows("2 0\n") == ((v(), v()), 0)
+    assert mp.parse_rows("0\n", nrows=2) == ((v(), v()), 0)
+    assert mp.format_rows((2, 3), rows) == "2 3\n0 -inf 2\n-1 -2 +inf\n"
+    with pytest.raises(ParseError) as e:
+        mp.parse_rows("0\n1\n", nrows=1)
+    assert e.value.line == 2 and e.value.column == 1
+
+
+def test_empty_dimensions_round_trip():
+    x = v()
+    assert mp.format_vector(x) == "0\n\n"
+    assert mp.parse_vector(mp.format_vector(x)) == x
+    for A in (mp.matrix([[], []]), mp.matrix([], ncols=0), mp.matrix([], ncols=3)):
+        assert mp.parse_matrix(mp.format_matrix(A)) == A
+
+
+@given(st.lists(scalars, min_size=0, max_size=7))
 def test_vector_round_trip(entries):
     x = mp.vector(entries)
     assert mp.parse_vector(mp.format_vector(x)) == x
 
 
-@given(st.lists(st.lists(scalars, min_size=3, max_size=3),
-                min_size=1, max_size=4))
-def test_matrix_round_trip(rows):
-    A = mp.matrix(rows)
+@given(st.integers(min_value=0, max_value=4).flatmap(
+    lambda n: st.lists(st.lists(scalars, min_size=n, max_size=n),
+                       min_size=0, max_size=4).map(lambda rows: (rows, n))))
+def test_matrix_round_trip(shape):
+    rows, n = shape
+    A = mp.matrix(rows, ncols=n)
     assert mp.parse_matrix(mp.format_matrix(A)) == A
