@@ -17,9 +17,8 @@ from .extreal import (NEG_INF, POS_INF, ZERO, format_scalar, lower_add,
 from .tropical_linalg import (TropicalMatrix, TropicalVector, format_matrix,
                               format_rows, format_vector, leq, mat_apply,
                               matrix, parse_matrix, parse_rows, parse_vector,
-                              residuated_apply, residuated_row_preimage,
-                              row_apply, vec_meet, vec_oplus, vec_residual,
-                              vec_scale, vector)
+                              residuated_apply, row_apply, vec_meet,
+                              vec_oplus, vec_residual, vec_scale, vector)
 from .hilbert_metric import (PartDescriptor, anti_distance, hilbert_distance,
                              part_of, restrict)
 from .halfspace import (BestApproxSet, CanonicalHalfSpace, FaceBox, HalfSpace,

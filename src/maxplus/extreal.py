@@ -102,8 +102,10 @@ _INF_TOKENS = {"-inf": NEG_INF, "-infinity": NEG_INF, "inf": POS_INF,
 
 def parse_scalar(token, mode=None):
     """Parse one token: an infinity (-inf, +inf, inf, -infinity, ... in
-    any case), a decimal integer, a decimal fraction like "2.5", or a
-    ratio like "5/2".
+    any case), a decimal integer, a decimal fraction like "2.5" or
+    "1e-3", or a ratio like "5/2".  Finite tokens are ASCII, with no
+    digit separators: "1_000" and Arabic-Indic digits are refused,
+    though Python's int, float and Fraction accept both.
 
     mode "int" restricts finite tokens to integers (exact backend);
     mode "float" makes finite tokens floats; mode None keeps integers
@@ -113,6 +115,8 @@ def parse_scalar(token, mode=None):
     if inf is not None:
         return inf
     try:
+        if "_" in token or not token.isascii():
+            raise ValueError(token)
         if mode == "int":
             return _finite(int(token))
         if "/" in token:

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from .errors import (ClassificationError, DimensionError,
                      InfiniteDistanceError, PointInSetError,
                      UnsupportedCaseError)
-from .extreal import NEG_INF, POS_INF, lower_add, scalar_residual
+from .extreal import NEG_INF, POS_INF, scalar_residual
 from .hilbert_metric import hilbert_distance
 from .tropical_linalg import (TropicalVector, _vec, format_rows, parse_rows,
                               row_apply, vec_oplus)
@@ -280,11 +280,6 @@ def _reject_pos_inf(x):
                 "best approximation handles points of (R u {-inf})^n only")
 
 
-def _argmax(row, x, value):
-    return [i for i in range(len(x))
-            if lower_add(row[i], x[i]) == value]
-
-
 def _prepared(H, x):
     """Shared validation for the best-approximation operations: returns
     (canonical, a'x, b'x, distance) for x outside H at finite distance."""
@@ -314,18 +309,19 @@ def best_approx_set(H, x):
     shape of each face.
     """
     C, ax, bx, d = _prepared(H, x)
-    P = project_canonical(C, x)
-    fixed_b = {j: -C.b_prime[j] for j in _argmax(C.b_prime, x, bx)}
+    xs = x.entries
+    P = project_canonical(C, x).entries
+    # the coefficients, ax and bx are finite and x has no +inf entry, so
+    # plain + and - are the lower addition and the pairs give the argmaxes
+    fixed_b = {j: -b for j, b in C.b_pairs if b + xs[j] == bx}
     faces = []
-    for i in _argmax(C.a_prime, x, ax):
+    for i, a in C.a_pairs:
+        if a + xs[i] != ax:
+            continue
         fixed = dict(fixed_b)
-        fixed[i] = -C.a_prime[i]
-        box = {}
-        for k in range(len(x)):
-            if k in fixed:
-                continue
-            # ax and bx are finite and x, P have no +inf entry
-            box[k] = (x[k] - bx, P[k] - ax)
+        fixed[i] = -a
+        box = {k: (xs[k] - bx, P[k] - ax) for k in range(len(xs))
+               if k not in fixed}
         faces.append(FaceBox(i, fixed, box))
     return BestApproxSet(d, tuple(faces))
 

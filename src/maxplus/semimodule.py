@@ -9,6 +9,18 @@ together with the bottom vector.  The canonical projection onto V,
 is the greatest element of V below u; u belongs to V iff the projection
 fixes it, and project(V, .) attains the distance from any point to V.
 
+Each generator keeps its support, the indices where it is above -inf,
+and a projection reads only those: it costs O(sum over g of |supp g|)
+and builds one output list and one tuple.  The residual g \\ u is the
+minimum over supp g of u_i - g_i in upper addition (the NaN of
++inf - +inf is skipped).  Two values of it are not finite:
+
+  * -inf, when u is -inf somewhere on supp g or g is +inf where u is
+    finite: the scaled generator is the bottom vector, which adds
+    nothing, so the generator is skipped;
+  * +inf, when u is +inf all over supp g (or supp g is empty): the
+    scaled generator is +inf on supp g and -inf elsewhere.
+
 For x outside V whose projection P = project(V, x) is finite, one
 half-space contains all of V and excludes x, built from the touching
 set J = {j | x_j = P_j} (nonempty by maximality):
@@ -32,19 +44,18 @@ from __future__ import annotations
 
 from .errors import (DimensionError, InfiniteDistanceError, PointInSetError,
                      UnsupportedCaseError)
-from .extreal import NEG_INF, POS_INF
+from .extreal import _FLOAT_MAX, NEG_INF, POS_INF, _finite
 from .halfspace import HalfSpace
 from .hilbert_metric import hilbert_distance, part_of, restrict
 from .tropical_linalg import (TropicalMatrix, TropicalVector, _vec,
-                              format_matrix, parse_matrix, vec_oplus,
-                              vec_residual, vec_scale)
+                              format_matrix, parse_matrix)
 
 
 class GeneratedSemimodule:
     """An immutable generating family; possibly empty (spanning just
     the bottom vector), in which case the dimension must be given."""
 
-    __slots__ = ("generators", "n")
+    __slots__ = ("generators", "n", "_support")
 
     def __init__(self, generators, n=None):
         self.generators = tuple(g if isinstance(g, TropicalVector)
@@ -61,6 +72,9 @@ class GeneratedSemimodule:
             if n is None:
                 raise DimensionError("empty family needs an explicit dimension")
             self.n = n
+        self._support = tuple([tuple([i for i, e in enumerate(g.entries)
+                                      if e != NEG_INF])
+                               for g in self.generators])
 
     def __eq__(self, other):
         if not isinstance(other, GeneratedSemimodule):
@@ -76,13 +90,40 @@ def _check_dim(V, x):
         raise DimensionError(f"semimodule in dimension {V.n}, vector has {len(x)}")
 
 
+def _residual(g, support, us):
+    """g \\ u, vec_residual over the support of g alone: the entries off
+    it give +inf or NaN, which never lower the minimum."""
+    lam = POS_INF
+    for i in support:
+        t = us[i] - g[i]  # NaN on (+inf, +inf), skipped: upper addition
+        if t < lam:
+            lam = t
+    return lam
+
+
 def project(V, u):
-    """The greatest element of V below u."""
+    """The greatest element of V below u; see the module docstring."""
     _check_dim(V, u)
-    best = _vec((NEG_INF,) * len(u))
-    for g in V.generators:
-        best = vec_oplus(best, vec_scale(g, vec_residual(g, u)))
-    return best
+    us = u.entries
+    best = [NEG_INF] * len(us)
+    for g, support in zip(V.generators, V._support):
+        ge = g.entries
+        lam = _residual(ge, support, us)
+        if lam == NEG_INF:
+            continue
+        if lam == POS_INF:
+            for i in support:
+                best[i] = POS_INF
+            continue
+        if not (lam.__class__ is int and -_FLOAT_MAX <= lam <= _FLOAT_MAX):
+            # what vec_scale's scalar() does: Fraction(4, 2) acts as the
+            # int 2, and an int beyond the float range raises
+            lam = _finite(lam)
+        for i in support:
+            t = ge[i] + lam
+            if t > best[i]:
+                best[i] = t
+    return _vec(tuple(best))
 
 
 def distance_to(V, x):
@@ -105,7 +146,9 @@ def is_orthogonal(V, x, y):
     _check_dim(V, x)
     if len(x) != len(y):
         raise DimensionError(f"vector lengths {len(x)} vs {len(y)}")
-    return all(vec_residual(g, x) == vec_residual(g, y) for g in V.generators)
+    xs, ys = x.entries, y.entries
+    return all(_residual(g.entries, s, xs) == _residual(g.entries, s, ys)
+               for g, s in zip(V.generators, V._support))
 
 
 def universal_halfspace(V, x):
@@ -167,11 +210,8 @@ def _reduce(V, x):
     if not part.supp:
         raise UnsupportedCaseError("cannot reduce a point with no finite entry")
     I = tuple(sorted(part.supp))
-    kept = []
-    for g in V.generators:
-        g_part = part_of(g)
-        if not g_part.sigma_pos and g_part.supp <= part.supp:
-            kept.append(restrict(g, I))
+    kept = [restrict(g, I) for g, support in zip(V.generators, V._support)
+            if part.supp.issuperset(support) and POS_INF not in g.entries]
     x_prime = restrict(x, I)
     V_prime = GeneratedSemimodule(kept, n=len(I))
     P_prime = project(V_prime, x_prime)

@@ -202,14 +202,6 @@ def vec_residual(x, y):
     return best
 
 
-def residuated_row_preimage(a, t):
-    """The greatest x with row_apply(a, x) <= t, entrywise
-    scalar_residual(a_i, t)."""
-    t = scalar(t)
-    return _vec(tuple([POS_INF if ai == NEG_INF or t == POS_INF else t - ai
-                       for ai in a.entries]))
-
-
 def residuated_apply(B, y):
     """The greatest x with mat_apply(B, x) <= y.
 

@@ -6,7 +6,11 @@ instances; hypothesis covers the open-ended corners separately.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import maxplus as mp
+from maxplus.errors import InfiniteDistanceError, UnsupportedCaseError
+from maxplus.halfspace import _prepared
 
 NEG = mp.NEG_INF
 POS = mp.POS_INF
@@ -227,3 +231,87 @@ def reference_greatest_solution(A, B, u):
         sweeps += 1
         if all(e == NEG for e in x):
             return x, pinned, sweeps
+
+
+# --- references for the support-sparse geometry kernels --------------------
+#
+# The compositions the library computed before its geometry read the
+# generator supports and the canonical pairs; the differential tests hold
+# the kernels to them, payload types included.
+
+def rand_payload(rng, p_neg_inf=0.2, p_pos_inf=0.1):
+    """-inf, +inf, or a small int, Fraction (halves and thirds, so that
+    sums can land on whole numbers) or float."""
+    r = rng.random()
+    if r < p_neg_inf:
+        return NEG
+    if r < p_neg_inf + p_pos_inf:
+        return POS
+    k = rng.randint(-6, 6)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return k
+    if kind == 1:
+        return mp.scalar(Fraction(k, rng.choice((2, 3))))
+    return k / 2
+
+
+def typed(obj):
+    """obj with every number paired with its type, so that == also
+    compares payload types; dicts become their item lists, in order."""
+    if isinstance(obj, mp.TropicalVector):
+        obj = obj.entries
+    if isinstance(obj, dict):
+        return [(typed(k), typed(e)) for k, e in obj.items()]
+    if isinstance(obj, (tuple, list)):
+        return [typed(e) for e in obj]
+    return (type(obj).__name__, obj)
+
+
+def reference_project(V, u):
+    """sup_g g + (g \\ u), one scaled generator at a time."""
+    best = mp.vector([NEG] * len(u))
+    for g in V.generators:
+        best = mp.vec_oplus(best, mp.vec_scale(g, mp.vec_residual(g, u)))
+    return best
+
+
+def reference_is_orthogonal(V, x, y):
+    return all(mp.vec_residual(g, x) == mp.vec_residual(g, y)
+               for g in V.generators)
+
+
+def reference_reduce(V, x):
+    """(x', kept generators, I) of reduce_problem, from the support
+    partitions of x and of every generator."""
+    part = mp.part_of(x)
+    if part.sigma_pos or not part.supp:
+        raise UnsupportedCaseError("cannot reduce")
+    I = tuple(sorted(part.supp))
+    kept = tuple(mp.restrict(g, I) for g in V.generators
+                 if not mp.part_of(g).sigma_pos
+                 and mp.part_of(g).supp <= part.supp)
+    x_prime = mp.restrict(x, I)
+    P = reference_project(mp.GeneratedSemimodule(kept, n=len(I)), x_prime)
+    if NEG in P.entries:
+        raise InfiniteDistanceError("no element has the support of x")
+    return x_prime, kept, I
+
+
+def reference_best_approx_set(H, x):
+    """best_approx_set with both argmax sets found by a lower-addition
+    scan over all n indices."""
+    C, ax, bx, d = _prepared(H, x)
+    P = mp.project(H, x)
+
+    def argmax(row, value):
+        return [i for i in range(len(x)) if mp.lower_add(row[i], x[i]) == value]
+
+    fixed_b = {j: -C.b_prime[j] for j in argmax(C.b_prime, bx)}
+    faces = []
+    for i in argmax(C.a_prime, ax):
+        fixed = dict(fixed_b)
+        fixed[i] = -C.a_prime[i]
+        box = {k: (x[k] - bx, P[k] - ax) for k in range(len(x)) if k not in fixed}
+        faces.append(mp.FaceBox(i, fixed, box))
+    return mp.BestApproxSet(d, tuple(faces))

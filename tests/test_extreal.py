@@ -214,6 +214,17 @@ def test_parse_garbage():
             parse_scalar(bad)
 
 
+def test_finite_tokens_are_ascii_without_separators():
+    # int, float and Fraction read all of these; the token grammar does not
+    for bad in ("1_000", "\u0661\u0662", "1_0.5", "1/2_0", "1e1_0", "\uff17"):
+        for mode in (None, "int", "float"):
+            with pytest.raises(ValueError):
+                parse_scalar(bad, mode)
+        with pytest.raises(ValueError):
+            scalar(bad)
+    assert parse_scalar("1000") == 1000 and parse_scalar("1/20") == Fraction(1, 20)
+
+
 def test_boundary_rejects_nan_and_overflow():
     for mode in (None, "float"):
         for bad in ("nan", "NaN", "1e400", "-1e400", "1e400/3"):

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 import maxplus as mp
 from maxplus.errors import (ClassificationError, InfiniteDistanceError,
-                            PointInSetError, UnsupportedCaseError)
+                            MaxplusError, PointInSetError,
+                            UnsupportedCaseError)
 from maxplus.halfspace import Kind
 from maxplus.oracle import GridSpec, grid_min_distance, grid_projection, grid_vectors
 from helpers import (DISJ_H, DISJ_X, NEG, POS, RULTER_H, SUBFACE_H, SUBFACE_X,
-                     finite,
-                     rand_halfspace, rand_vector, v)
+                     finite, rand_halfspace, rand_payload, rand_vector,
+                     reference_best_approx_set, typed, v)
 
 def test_contains():
     assert mp.contains(RULTER_H, v(1, 1, 0))
@@ -315,3 +316,47 @@ coefficients = st.one_of(st.just(NEG), st.integers(min_value=-9, max_value=9))
 def test_halfspace_round_trip(ab):
     H = mp.HalfSpace(*ab)
     assert mp.parse_halfspace(mp.format_halfspace(H)) == H
+
+
+# --- faces read off the canonical pairs, against a scan of every index ------
+
+def _check_faces(H, x):
+    try:
+        want = reference_best_approx_set(H, x)
+    except MaxplusError as e:
+        with pytest.raises(type(e)):
+            mp.best_approx_set(H, x)
+        return False
+    got = mp.best_approx_set(H, x)
+    assert typed(got.base_distance) == typed(want.base_distance)
+    # typed() lists dict items in order, so the key order of fixed and box
+    # is compared too
+    assert ([typed((f.pivot, f.fixed, f.box)) for f in got.faces]
+            == [typed((f.pivot, f.fixed, f.box)) for f in want.faces])
+    return True
+
+
+def test_best_approx_faces_match_full_scan_seeded():
+    rng = random.Random(26)
+    checked = 0
+    for _ in range(3000):
+        n = rng.randint(0, 5)
+        H = mp.HalfSpace([rand_payload(rng, 0.3, 0) for _ in range(n)],
+                         [rand_payload(rng, 0.3, 0) for _ in range(n)])
+        x = mp.vector([rand_payload(rng, 0.15, 0.03) for _ in range(n)])
+        checked += _check_faces(H, x)
+    assert checked > 300
+
+
+coefficients = st.one_of(st.just(NEG), st.integers(min_value=-4, max_value=4),
+                         st.fractions(min_value=-2, max_value=2, max_denominator=3),
+                         st.integers(min_value=-8, max_value=8).map(lambda k: k / 2))
+
+
+@given(st.integers(min_value=0, max_value=5).flatmap(
+    lambda n: st.tuples(*[st.lists(c, min_size=n, max_size=n)
+                          for c in (coefficients, coefficients,
+                                    st.one_of(coefficients, st.just(POS)))])))
+def test_best_approx_faces_match_full_scan(case):
+    a, b, x = case
+    _check_faces(mp.HalfSpace(a, b), mp.vector(x))

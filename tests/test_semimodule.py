@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 
 import maxplus as mp
 from maxplus.errors import (DimensionError, InfiniteDistanceError,
-                            PointInSetError, UnsupportedCaseError)
+                            MaxplusError, PointInSetError,
+                            UnsupportedCaseError)
 from maxplus.oracle import GridSpec, grid_projection
 from helpers import (EVAX_GENS, EVAX_P, EVAX_X, NEG, POS, finite,
-                     rand_semimodule, rand_vector, semimodule_grid_members, v)
+                     rand_payload, rand_semimodule, rand_vector,
+                     reference_is_orthogonal, reference_project,
+                     reference_reduce, semimodule_grid_members, typed, v)
 
 def test_project_known_values():
     V = mp.GeneratedSemimodule([v(0, 0, 0)])
@@ -256,3 +259,82 @@ def test_generators_round_trip(family):
     V = mp.GeneratedSemimodule(gens, n=n)
     W = mp.parse_generators(mp.format_generators(V))
     assert (W.generators, W.n) == (V.generators, V.n)
+
+
+# --- the support-sparse kernels against the per-generator composition -------
+
+def _check_fused_kernels(V, u, y):
+    P = mp.project_semimodule(V, u)
+    assert typed(P) == typed(reference_project(V, u))
+    for w in (y, P, u):
+        assert mp.is_orthogonal(V, u, w) == reference_is_orthogonal(V, u, w)
+    try:
+        want = reference_reduce(V, u)
+    except MaxplusError as e:
+        with pytest.raises(type(e)):
+            mp.reduce_problem(V, u)
+        return False
+    x2, V2, I = mp.reduce_problem(V, u)
+    assert typed((x2, V2.generators, I)) == typed(want)
+    assert V2.n == len(I)
+    return True
+
+
+def _mixed_family(rng, n):
+    gens = []
+    for _ in range(rng.randint(0, 4)):
+        shape = rng.random()
+        if shape < 0.1:
+            gens.append([NEG] * n)  # empty support
+        elif shape < 0.2:
+            gens.append([rand_payload(rng, 0.3, 0.4) for _ in range(n)])
+        else:
+            gens.append([rand_payload(rng, 0.25, 0.05) for _ in range(n)])
+    return mp.GeneratedSemimodule(gens, n=n)
+
+
+def test_fused_kernels_match_composition_seeded():
+    rng = random.Random(25)
+    reduced = 0
+    for _ in range(3000):
+        n = rng.randint(0, 5)
+        V = _mixed_family(rng, n)
+        u = mp.vector([rand_payload(rng, 0.15, 0.1) for _ in range(n)])
+        y = mp.vector([rand_payload(rng, 0.15, 0.1) for _ in range(n)])
+        reduced += _check_fused_kernels(V, u, y)
+    assert reduced > 300
+
+
+payloads = st.one_of(st.just(NEG), st.just(POS),
+                     st.integers(min_value=-6, max_value=6),
+                     st.fractions(min_value=-3, max_value=3, max_denominator=3),
+                     st.integers(min_value=-12, max_value=12).map(lambda k: k / 2))
+
+
+@given(st.integers(min_value=0, max_value=4).flatmap(
+    lambda n: st.tuples(st.lists(st.lists(payloads, min_size=n, max_size=n),
+                                 max_size=4),
+                        st.lists(payloads, min_size=n, max_size=n),
+                        st.lists(payloads, min_size=n, max_size=n),
+                        st.just(n))))
+def test_fused_kernels_match_composition(case):
+    gens, u, y, n = case
+    _check_fused_kernels(mp.GeneratedSemimodule(gens, n=n), mp.vector(u),
+                         mp.vector(y))
+
+
+def test_projection_normalises_like_the_scalar_action():
+    half, five_halves = mp.parse_scalar("1/2"), mp.parse_scalar("5/2")
+    V = mp.GeneratedSemimodule([[half, 3]])
+    # the residual is 5/2 - 1/2, a Fraction equal to 2: it acts as the
+    # int 2, so 3 + 2 stays an int
+    P = mp.project_semimodule(V, v(five_halves, 9))
+    assert typed(P) == typed(v(five_halves, 5))
+    assert typed(P) == typed(reference_project(V, v(five_halves, 9)))
+    W = mp.GeneratedSemimodule([[7, POS], [NEG, NEG]])
+    assert mp.project_semimodule(W, v(POS, POS)) == v(POS, POS)
+    assert mp.project_semimodule(W, v(POS, 3)) == v(NEG, NEG)
+    huge = 10 ** 308
+    with pytest.raises(ValueError):
+        mp.project_semimodule(mp.GeneratedSemimodule([[huge, -huge]]),
+                              v(-huge, -huge))

@@ -65,12 +65,6 @@ def test_vec_residual():
         assert mp.vec_residual(y, y) == POS
 
 
-def test_residuated_row_preimage():
-    assert mp.residuated_row_preimage(v(0, NEG, NEG), 1) == v(1, POS, POS)
-    assert mp.residuated_row_preimage(v(2, 3), 0) == v(-2, -3)
-    assert mp.residuated_row_preimage(v(2, NEG), POS) == v(POS, POS)
-
-
 def test_residuated_apply():
     eye = mp.matrix([[0, NEG], [NEG, 0]])
     assert mp.residuated_apply(eye, v(4, -2)) == v(4, -2)
@@ -166,6 +160,18 @@ def test_int_mode_rejects_floats_with_position():
     with pytest.raises(ParseError) as e:
         mp.parse_vector("2\n1 2.5\n", mode="int")
     assert e.value.line == 2 and e.value.column == 3
+
+
+def test_entry_tokens_are_ascii_without_separators():
+    with pytest.raises(ParseError) as e:
+        mp.parse_vector("3\n0 1_000 2\n")
+    assert e.value.line == 2 and e.value.column == 3
+    with pytest.raises(ParseError) as e:
+        mp.parse_matrix("2 2\n0 0\n\u0661\u0662 -inf\n")
+    assert e.value.line == 3 and e.value.column == 1
+    with pytest.raises(ParseError) as e:
+        mp.parse_vector("2\n-inf 1/2_0\n", mode="float")
+    assert e.value.line == 2 and e.value.column == 6
 
 
 def test_count_must_be_a_decimal_integer():
