@@ -373,7 +373,6 @@ def build_parser():
     p.add_argument("--trace", action="store_true")
     common(p)
     solver_opts(p)
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("compare",
                        help="run both methods, check the sandwich property, "
@@ -383,14 +382,12 @@ def build_parser():
     p.add_argument("--init", required=True, metavar="FILE")
     common(p)
     solver_opts(p)
-    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("project-halfspace",
                        help="greatest element of a half-space below a point")
     p.add_argument("--halfspace", required=True, metavar="FILE")
     p.add_argument("--point", required=True, metavar="FILE")
     common(p)
-    p.set_defaults(func=cmd_project_halfspace)
 
     p = sub.add_parser("project-semimodule",
                        help="greatest element of a generated semimodule "
@@ -398,7 +395,6 @@ def build_parser():
     p.add_argument("--generators", required=True, metavar="FILE")
     p.add_argument("--point", required=True, metavar="FILE")
     common(p)
-    p.set_defaults(func=cmd_project_semimodule)
 
     p = sub.add_parser("distance",
                        help="projective distance from a point to a "
@@ -408,20 +404,17 @@ def build_parser():
     g.add_argument("--generators", metavar="FILE")
     p.add_argument("--point", required=True, metavar="FILE")
     common(p)
-    p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("canonicalize",
                        help="disjoint-support form, apex, and sectors")
     p.add_argument("--halfspace", required=True, metavar="FILE")
     common(p)
-    p.set_defaults(func=cmd_canonicalize)
 
     p = sub.add_parser("best-approx",
                        help="all nearest points of a half-space")
     p.add_argument("--halfspace", required=True, metavar="FILE")
     p.add_argument("--point", required=True, metavar="FILE")
     common(p)
-    p.set_defaults(func=cmd_best_approx)
 
     p = sub.add_parser("separate",
                        help="universal half-space containing the semimodule "
@@ -429,16 +422,25 @@ def build_parser():
     p.add_argument("--generators", required=True, metavar="FILE")
     p.add_argument("--point", required=True, metavar="FILE")
     common(p)
-    p.set_defaults(func=cmd_separate)
 
     return parser
 
 
+_parser = None
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # one parser per process, built on the first call (not at import):
+    # parse_args makes a new Namespace each time, and MPS_MAX_ITERS is
+    # read when a command runs
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
+    # looked up at call time, so a wrapped or replaced cmd_* is seen
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (MaxplusError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -42,7 +42,9 @@ _FLOAT_MAX = sys.float_info.max
 def _finite(v):
     """v as a finite scalar, or ValueError (NaN and the infinities fail
     the range test too)."""
-    if isinstance(v, Fraction) and v.denominator == 1:
+    # the type test first: isinstance against the numbers ABC behind
+    # Fraction is slow, and most scalars are ints
+    if type(v) is not int and isinstance(v, Fraction) and v.denominator == 1:
         v = v.numerator
     if not -_FLOAT_MAX <= v <= _FLOAT_MAX:
         raise ValueError(f"not a finite scalar: {v!r}")

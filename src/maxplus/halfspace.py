@@ -188,6 +188,11 @@ def canonicalize(H):
     kind = classify(H)
     if kind is not Kind.PROPER:
         raise ClassificationError(f"cannot canonicalize a {kind.value} half-space")
+    return _canonical(H)
+
+
+def _canonical(H):
+    """canonicalize for an H already classified Proper."""
     a_prime = []
     b_prime = []
     I, J = set(), set()
@@ -255,7 +260,7 @@ def project(H, x):
         return x
     if kind is Kind.BOTTOM_ONLY:
         return _vec((NEG_INF,) * H.n)
-    return project_canonical(canonicalize(H), x)
+    return project_canonical(_canonical(H), x)
 
 
 def distance(H, x):
@@ -263,14 +268,13 @@ def distance(H, x):
     entry, -inf for all-infinite members, (a'x)\\(bx) otherwise."""
     if H.n != len(x):
         raise DimensionError(f"half-space in dimension {H.n}, point has {len(x)}")
-    kind = classify(H)
-    if kind is Kind.EVERYTHING or contains(H, x):
+    bx = row_apply(H.b, x)
+    if row_apply(H.a, x) >= bx:  # contains(H, x), true when H is Everything
         return hilbert_distance(x, x)
-    if kind is Kind.BOTTOM_ONLY:
+    if classify(H) is Kind.BOTTOM_ONLY:
         # H = {bottom} and x is not bottom
         return POS_INF
-    C = canonicalize(H)
-    return scalar_residual(row_apply(C.a_prime, x), row_apply(H.b, x))
+    return scalar_residual(row_apply(_canonical(H).a_prime, x), bx)
 
 
 def _reject_pos_inf(x):
@@ -286,15 +290,15 @@ def _prepared(H, x):
     if H.n != len(x):
         raise DimensionError(f"half-space in dimension {H.n}, point has {len(x)}")
     _reject_pos_inf(x)
-    kind = classify(H)
-    if kind is Kind.EVERYTHING or contains(H, x):
+    bx = row_apply(H.b, x)
+    if row_apply(H.a, x) >= bx:  # contains(H, x), true when H is Everything
         raise PointInSetError("the point already lies in the half-space")
-    if kind is Kind.BOTTOM_ONLY:
+    if classify(H) is Kind.BOTTOM_ONLY:
         raise InfiniteDistanceError(
             "the half-space is the bottom vector alone; distance is +inf")
-    C = canonicalize(H)
+    # x is outside, so no index dropped from b attains bx: bx = b'x
+    C = _canonical(H)
     ax = row_apply(C.a_prime, x)
-    bx = row_apply(C.b_prime, x)  # = bx for the original b since x is outside
     d = scalar_residual(ax, bx)
     if d == POS_INF:
         raise InfiniteDistanceError(

@@ -173,15 +173,17 @@ def _separating_halfspace(x, P):
     a = [NEG_INF] * len(x)
     b = [NEG_INF] * len(x)
     touched = False
-    for j, (xj, pj) in enumerate(zip(x, P)):
+    for j, (xj, pj) in enumerate(zip(x.entries, P.entries)):
         if xj == pj:
             a[j] = -xj
             touched = True
         else:
-            b[j] = -pj
+            # a projection entry may be a ratio p/1, which enters as an int
+            b[j] = _finite(-pj)
     # the projection is maximal below x, so it touches x somewhere
     assert touched
-    return HalfSpace(a, b)
+    # -x_j is as valid as x_j: the coefficients need no second check
+    return HalfSpace(_vec(tuple(a)), _vec(tuple(b)))
 
 
 def reduce_problem(V, x):

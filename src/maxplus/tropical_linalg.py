@@ -32,7 +32,10 @@ blank lines are ignored, so a row of width 0 takes no line.
                                          generator families alike)
 
 parse_rows reads them all and format_rows writes them, token for token
-its inverse, at every n and p including 0.
+its inverse, at every n and p including 0.  Whitespace is str.isspace
+(the same characters as the regex \\s) and lines are str.splitlines;
+the reader tokenizes with str.split and computes a column only for a
+ParseError, which names the first bad token in reading order.
 """
 
 from __future__ import annotations
@@ -223,22 +226,31 @@ def residuated_apply(B, y):
 # --- text formats ----------------------------------------------------------
 
 _TOKEN = re.compile(r"\S+")
+# an ASCII integer of at most 300 digits: int() and float() read it
+# as parse_scalar does, and its value lies inside the float range
+_PLAIN_INT = re.compile(r"[+-]?[0-9]{1,300}").fullmatch
 
 
-def _token_lines(text):
-    """Yield (line_number, [(token, column), ...]) for non-blank lines,
-    both numbers 1-based."""
+def _lines(text):
+    """Yield (line_number, line, tokens) for non-blank lines, 1-based."""
     for lineno, line in enumerate(text.splitlines(), start=1):
-        toks = [(m.group(0), m.start() + 1) for m in _TOKEN.finditer(line)]
+        toks = line.split()
         if toks:
-            yield lineno, toks
+            yield lineno, line, toks
 
 
-def _parse_entry(token, col, lineno, mode):
-    try:
-        return parse_scalar(token, mode)
-    except ValueError as e:
-        raise ParseError(str(e), line=lineno, column=col) from None
+def _column(line, k):
+    """The 1-based column of token k of line; only errors need it."""
+    return [m.start() for m in _TOKEN.finditer(line)][k] + 1
+
+
+def _bad_entry(toks, lineno, line, mode):
+    """The ParseError for the first token of a row parse_scalar refuses."""
+    for k, t in enumerate(toks):
+        try:
+            parse_scalar(t, mode)
+        except ValueError as e:
+            return ParseError(str(e), line=lineno, column=_column(line, k))
 
 
 def parse_rows(text, mode=None, nrows=None):
@@ -247,35 +259,47 @@ def parse_rows(text, mode=None, nrows=None):
     The count line is "n" when nrows is given and "p n" otherwise, and
     p = nrows rows follow.  Blank lines are ignored, so a row of width
     0 takes no line.  Returns (rows, n), rows a tuple of vectors.
+
+    Tokens are the maximal runs of characters that are not str.isspace
+    (line.split()); the grammar of each is parse_scalar's.  Plain ASCII
+    integers take a shortcut to the same value and type; columns are
+    computed only for an error, which cites the first bad token in
+    reading order.
     """
-    lines = _token_lines(text)
-    lineno, toks = next(lines, (None, ()))
+    lines = _lines(text)
+    lineno, line, toks = next(lines, (None, None, ()))
     if lineno is None:
         raise ParseError("empty input, expected a count line")
     shape = "n" if nrows is not None else "p n"
     want = len(shape.split())
     if len(toks) != want:  # cite the first surplus token, else the last
         raise ParseError(f"count line must be {shape!r}, got {len(toks)} tokens",
-                         line=lineno, column=toks[min(want, len(toks) - 1)][1])
-    for t, c in toks:
+                         line=lineno, column=_column(line, min(want, len(toks) - 1)))
+    for k, t in enumerate(toks):
         if not t.isdecimal():
             raise ParseError(f"expected a nonnegative integer count, got {t!r}",
-                             line=lineno, column=c)
-    n = int(toks[-1][0])
-    p = int(toks[0][0]) if nrows is None else nrows
+                             line=lineno, column=_column(line, k))
+    n = int(toks[-1])
+    p = int(toks[0]) if nrows is None else nrows
+    number = float if mode == "float" else int
     rows = []
     for _ in range(p):
-        lineno, toks = next(lines, (None, ())) if n else (0, ())  # width 0: no line
+        # width 0: no line
+        lineno, line, toks = next(lines, (None, None, ())) if n else (0, "", ())
         if lineno is None:
             raise ParseError(f"expected {p} row(s) of {n} entries, got {len(rows)}")
         if len(toks) != n:
             raise ParseError(f"expected {n} entries in row {len(rows) + 1}, "
                              f"got {len(toks)}",
-                             line=lineno, column=toks[0][1])
-        rows.append(_vec(tuple([_parse_entry(t, c, lineno, mode) for t, c in toks])))
-    for lineno, toks in lines:
+                             line=lineno, column=_column(line, 0))
+        try:
+            rows.append(_vec(tuple([number(t) if _PLAIN_INT(t)
+                                    else parse_scalar(t, mode) for t in toks])))
+        except ValueError:
+            raise _bad_entry(toks, lineno, line, mode) from None
+    for lineno, line, _ in lines:
         raise ParseError(f"trailing tokens after {p} row(s)", line=lineno,
-                         column=toks[0][1])
+                         column=_column(line, 0))
     return tuple(rows), n
 
 

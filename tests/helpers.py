@@ -6,10 +6,13 @@ instances; hypothesis covers the open-ended corners separately.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import maxplus as mp
-from maxplus.errors import InfiniteDistanceError, UnsupportedCaseError
+from maxplus.errors import (InfiniteDistanceError, ParseError,
+                            UnsupportedCaseError)
+from maxplus.extreal import parse_scalar
 from maxplus.halfspace import _prepared
 
 NEG = mp.NEG_INF
@@ -315,3 +318,76 @@ def reference_best_approx_set(H, x):
         box = {k: (x[k] - bx, P[k] - ax) for k in range(len(x)) if k not in fixed}
         faces.append(mp.FaceBox(i, fixed, box))
     return mp.BestApproxSet(d, tuple(faces))
+
+
+# --- reference for the text reader -----------------------------------------
+#
+# The reader as it was before it tokenized with str.split: a regex scan
+# that records every token's column, and parse_scalar on every entry.
+
+_TOKEN = re.compile(r"\S+")
+
+
+def _reference_token_lines(text):
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        toks = [(m.group(0), m.start() + 1) for m in _TOKEN.finditer(line)]
+        if toks:
+            yield lineno, toks
+
+
+def _reference_entry(token, col, lineno, mode):
+    try:
+        return parse_scalar(token, mode)
+    except ValueError as e:
+        raise ParseError(str(e), line=lineno, column=col) from None
+
+
+def reference_parse_rows(text, mode=None, nrows=None):
+    lines = _reference_token_lines(text)
+    lineno, toks = next(lines, (None, ()))
+    if lineno is None:
+        raise ParseError("empty input, expected a count line")
+    shape = "n" if nrows is not None else "p n"
+    want = len(shape.split())
+    if len(toks) != want:
+        raise ParseError(f"count line must be {shape!r}, got {len(toks)} tokens",
+                         line=lineno, column=toks[min(want, len(toks) - 1)][1])
+    for t, c in toks:
+        if not t.isdecimal():
+            raise ParseError(f"expected a nonnegative integer count, got {t!r}",
+                             line=lineno, column=c)
+    n = int(toks[-1][0])
+    p = int(toks[0][0]) if nrows is None else nrows
+    rows = []
+    for _ in range(p):
+        lineno, toks = next(lines, (None, ())) if n else (0, ())
+        if lineno is None:
+            raise ParseError(f"expected {p} row(s) of {n} entries, got {len(rows)}")
+        if len(toks) != n:
+            raise ParseError(f"expected {n} entries in row {len(rows) + 1}, "
+                             f"got {len(toks)}",
+                             line=lineno, column=toks[0][1])
+        rows.append(mp.vector([_reference_entry(t, c, lineno, mode) for t, c in toks]))
+    for lineno, toks in lines:
+        raise ParseError(f"trailing tokens after {p} row(s)", line=lineno,
+                         column=toks[0][1])
+    return tuple(rows), n
+
+
+def read_outcome(read, text, mode, nrows):
+    """What read(text, mode, nrows) gives: its rows with payload types
+    and n, or the message, line and column of its ParseError."""
+    try:
+        rows, n = read(text, mode, nrows)
+    except ParseError as e:
+        return ("error", str(e), e.line, e.column)
+    return ("rows", typed(rows), n)
+
+
+def reference_universal_halfspace(V, x):
+    """universal_halfspace with its coefficients validated as user
+    input: a_j = -x_j where the projection touches x, b_j = -P_j off it."""
+    P = mp.project_semimodule(V, x)
+    a = [-xj if xj == pj else NEG for xj, pj in zip(x, P)]
+    b = [NEG if xj == pj else -pj for xj, pj in zip(x, P)]
+    return mp.HalfSpace(a, b)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import maxplus as mp
-from maxplus import semimodule, solvers
+from maxplus import cli, semimodule, solvers
 from maxplus.cli import main
 from helpers import (DISJ_H, DISJ_X, EVAX_GENS, NEG, chain_system,
                      chase_system, planted_system_sized, ring_ineq_system, v)
@@ -401,3 +401,68 @@ def test_console_script_smoke(files):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1"
+
+
+def test_reused_parser_answers_like_a_fresh_one(files, capsys, monkeypatch):
+    # main builds its parser once; each call must still answer as a call
+    # on a newly built parser would, whatever the calls before it passed
+    a, b, u = ring_files(files)
+    S = chain_system()
+    ca = files("cA.txt", mp.format_matrix(S.A))
+    cb = files("cB.txt", mp.format_matrix(S.B))
+    cu = files("cu.txt", "3\n10 10 0\n")
+    h = files("H.txt", mp.format_halfspace(DISJ_H))
+    x = files("x.txt", mp.format_vector(DISJ_X))
+    g = files("V.txt", mp.format_generators(EVAX_GENS))
+    solve = ["solve", "--a", a, "--b", b, "--init", u, "--output", "json"]
+    chain = ["solve", "--a", ca, "--b", cb, "--init", cu, "--output", "json"]
+
+    def call(argv):
+        try:
+            rc = main(argv)
+        except SystemExit as e:  # argparse refusing the command line
+            rc = e.code
+        out = capsys.readouterr()
+        return rc, out.out, out.err
+
+    def fresh(argv):
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parser", None)
+            return call(argv)
+
+    call(solve)
+    parser = cli._parser
+    steps = [
+        solve + ["--no-such-option"],
+        solve,
+        solve + ["--trace", "--max-iters", "1", "--method", "both"],
+        solve,
+        {"MPS_MAX_ITERS": "2"},
+        chain,
+        {"MPS_MAX_ITERS": "50"},
+        chain,
+        ["distance", "--halfspace", h, "--point", x],
+        ["distance", "--generators", g, "--point", x],
+        ["distance", "--halfspace", h, "--generators", g, "--point", x],
+        ["distance", "--halfspace", h, "--point", x],
+        ["distance", "--point", x],
+        ["distance", "--generators", g, "--point", x, "--output", "json"],
+        ["compare", "--a", a, "--b", b, "--init", u, "--mode", "float"],
+        solve,
+    ]
+    seen = []
+    for step in steps:
+        if isinstance(step, dict):
+            for k, val in step.items():
+                monkeypatch.setenv(k, val)
+            continue
+        got = call(step)
+        assert got == fresh(step), step
+        assert cli._parser is parser
+        seen.append(got)
+    codes = [rc for rc, _, _ in seen]
+    assert codes == [2, 0, 1, 0, 1, 0, 0, 0, 2, 0, 2, 0, 0, 0]
+    # nothing of the --trace / --max-iters call stays behind
+    assert seen[1] == seen[3] == seen[-1] and "trace" not in seen[3][1]
+    assert json.loads(seen[4][1])["iterations"] == 2
+    assert json.loads(seen[5][1])["status"] == "Solved"

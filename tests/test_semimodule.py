@@ -2,6 +2,7 @@
 orthogonality, and reduction to the support of the target point."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -15,7 +16,8 @@ from maxplus.oracle import GridSpec, grid_projection
 from helpers import (EVAX_GENS, EVAX_P, EVAX_X, NEG, POS, finite,
                      rand_payload, rand_semimodule, rand_vector,
                      reference_is_orthogonal, reference_project,
-                     reference_reduce, semimodule_grid_members, typed, v)
+                     reference_reduce, reference_universal_halfspace,
+                     semimodule_grid_members, typed, v)
 
 def test_project_known_values():
     V = mp.GeneratedSemimodule([v(0, 0, 0)])
@@ -338,3 +340,35 @@ def test_projection_normalises_like_the_scalar_action():
     with pytest.raises(ValueError):
         mp.project_semimodule(mp.GeneratedSemimodule([[huge, -huge]]),
                               v(-huge, -huge))
+
+
+def test_separating_halfspace_keeps_payload_types():
+    # the projection here is Fraction(1) on both coordinates; its
+    # negation enters the half-space as the int -1, as user input would
+    half = mp.parse_scalar("1/2")
+    V = mp.GeneratedSemimodule([[half, half]])
+    H = mp.universal_halfspace(V, v(1, 3))
+    assert typed(H.a) == typed(v(-1, NEG)) and typed(H.b) == typed(v(NEG, -1))
+    # exact payloads only: with floats mixed in, a rounded projection can
+    # miss x on every coordinate, which universal_halfspace does not
+    # handle (its assertion that P touches x fails)
+    def exact(p_neg, p_pos):
+        e = rand_payload(rng, p_neg, p_pos)
+        return mp.scalar(Fraction(e)) if type(e) is float and finite(e) else e
+
+    rng = random.Random(26)
+    built = 0
+    for _ in range(2000):
+        n = rng.randint(1, 5)
+        V = mp.GeneratedSemimodule([[exact(0.25, 0.05) for _ in range(n)]
+                                    for _ in range(rng.randint(0, 4))], n=n)
+        x = mp.vector([exact(0, 0) for _ in range(n)])
+        P = mp.project_semimodule(V, x)
+        if P == x or not all(finite(e) for e in P):
+            with pytest.raises(MaxplusError):
+                mp.universal_halfspace(V, x)
+            continue
+        H, want = mp.universal_halfspace(V, x), reference_universal_halfspace(V, x)
+        assert (typed(H.a), typed(H.b)) == (typed(want.a), typed(want.b))
+        built += 1
+    assert built > 500

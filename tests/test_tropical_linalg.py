@@ -1,11 +1,16 @@
 """Vector/matrix operations, residuation, and the text formats."""
 
+import random
+import re
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import maxplus as mp
-from helpers import NEG, POS, finite, ring_ineq_system, v
+from helpers import (NEG, POS, finite, read_outcome, reference_parse_rows,
+                     ring_ineq_system, v)
 
 from maxplus.errors import DimensionError, ParseError
 
@@ -213,3 +218,108 @@ def test_matrix_round_trip(shape):
     rows, n = shape
     A = mp.matrix(rows, ncols=n)
     assert mp.parse_matrix(mp.format_matrix(A)) == A
+
+
+# --- the reader against its regex reference --------------------------------
+
+MODES = (None, "int", "float")
+# tokens the grammar accepts and tokens it refuses; the plain integers
+# of up to 300 digits among them skip parse_scalar in the reader
+GOOD_TOKENS = ("0", "7", "-3", "+5", "-0", "007", "12", "-inf", "+inf", "inf",
+               "1e3", "2.5", "5/2", "-4/2", "INF", "-Infinity", "+INFINITY",
+               "9" * 300, "-" + "9" * 300, "9" * 301, "1" + "0" * 308)
+BAD_TOKENS = ("1/0", "nan", "NaN", "1e999", "-1e999", "9" * 309, "4" * 400,
+              "-" + "4" * 400, "1_000", "1/2_0", "\u0661\u0662",
+              "\uff11\uff12", "\u00b2", "bogus", "+-1", "--1", "0x10", "2.5.1",
+              "-", "+", "/", "e3")
+# separators are str.isspace and do not end a line; every line end
+# of str.splitlines is str.isspace too
+SPACES = (" ", " ", " ", "\t", "  ", "\xa0", "\u3000", "\u2003", "\x1f")
+LINE_ENDS = ("\n", "\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85",
+             "\u2028")
+COUNT_LINES = ("x 2", "2 x", "\u00b2", "-1 2", "2 3 4", "\u0663 2", "2.0",
+               "1 1 1", "+2", "")
+
+
+def _rand_reader_text(rng):
+    """A text in the one format with, now and then, one thing wrong:
+    a bad count line, a bad token, a short, long, extra or missing row."""
+    nrows = rng.choice((None, None, 1, 2))
+    p = nrows if nrows is not None else rng.randint(0, 3)
+    n = rng.randint(0, 4)
+    counts = [str(n)] if nrows is not None else [str(p), str(n)]
+
+    def sep():
+        return "".join(rng.choice(SPACES) for _ in range(rng.randint(1, 2)))
+
+    def pad():
+        return sep() if rng.random() < 0.2 else ""
+
+    count = pad() + sep().join(counts) + pad()
+    if rng.random() < 0.08:
+        count = rng.choice(COUNT_LINES)
+    lines = [count]
+    nlines = p + (rng.choice((-1, 1)) if rng.random() < 0.1 else 0)
+    for _ in range(max(nlines, 0)):
+        k = n + (rng.choice((-1, 1)) if rng.random() < 0.05 else 0)
+        toks = [rng.choice(BAD_TOKENS) if rng.random() < 0.02
+                else rng.choice(GOOD_TOKENS) for _ in range(max(k, 0))]
+        lines.append(pad() + sep().join(toks) + pad())
+        if rng.random() < 0.15:
+            lines.append(rng.choice(("", " ", "\t")))
+    text = ""
+    for line in lines:
+        text += line + rng.choice(LINE_ENDS)
+    return text if rng.random() < 0.9 else text.rstrip("\n"), nrows
+
+
+def test_split_cuts_where_the_regex_does():
+    # the reader's tokens are line.split(), its error columns come from
+    # the regex \S+: they agree on every code point
+    ws = re.compile(r"\s").fullmatch
+    assert [c for c in map(chr, range(sys.maxunicode + 1))
+            if c.isspace() != bool(ws(c))] == []
+
+
+def test_reader_matches_regex_reference_seeded():
+    rng = random.Random(27)
+    outcomes = set()
+    for _ in range(1500):
+        text, nrows = _rand_reader_text(rng)
+        for mode in MODES:
+            want = read_outcome(reference_parse_rows, text, mode, nrows)
+            assert read_outcome(mp.parse_rows, text, mode, nrows) == want, (text, mode)
+            outcomes.add(want[0])
+    assert outcomes == {"rows", "error"}
+
+
+token_texts = st.tuples(
+    st.lists(st.lists(st.sampled_from(GOOD_TOKENS + BAD_TOKENS), max_size=4),
+             max_size=4),
+    st.lists(st.sampled_from(SPACES), min_size=1, max_size=3),
+    st.sampled_from(LINE_ENDS)).map(
+        lambda t: t[2].join(["".join(t[1]).join(row) for row in t[0]]))
+raw_texts = st.text(alphabet="0123456789+-./eEinfINF_ \t\n\r\xa0\x1c\u0661",
+                    max_size=30)
+
+
+@given(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3),
+       st.one_of(token_texts, raw_texts), st.sampled_from((None, 1, 2)),
+       st.sampled_from(MODES))
+def test_reader_matches_regex_reference(p, n, body, nrows, mode):
+    count = f"{n}" if nrows is not None else f"{p} {n}"
+    for text in (count + "\n" + body, body):
+        assert (read_outcome(mp.parse_rows, text, mode, nrows)
+                == read_outcome(reference_parse_rows, text, mode, nrows))
+
+
+def test_reader_integer_shortcut_boundaries():
+    # plain integers of up to 300 digits skip parse_scalar; longer ones,
+    # up to the float range and beyond it, must read as it reads them
+    for digits in ("9" * 300, "9" * 301, "9" * 308, "1" + "0" * 308,
+                   "2" + "0" * 308, "9" * 309, "1" + "0" * 400):
+        for sign in ("", "-", "+"):
+            for mode in MODES:
+                text = "2\n0 " + sign + digits + "\n"
+                assert (read_outcome(mp.parse_rows, text, mode, 1)
+                        == read_outcome(reference_parse_rows, text, mode, 1))
