@@ -5,7 +5,8 @@ residuated max-plus linear algebra, the Hilbert projective distance,
 half-space geometry (canonical form, apex, projection, distance, the
 full set of nearest points), finitely generated semimodules with
 universal separating half-spaces, and two iterative solvers for systems
-A x >= B x.
+A x >= B x (one guarded loop with a cyclic and a power step) whose
+traced reports sandwich_check compares.
 """
 
 from .errors import (ClassificationError, DimensionError,

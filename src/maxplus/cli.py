@@ -165,8 +165,7 @@ def cmd_compare(args):
     cyc = solvers.cyclic_solve(S, u, max_iters=cap, tol=args.tol, keep_trace=True)
     pow_ = solvers.power_solve(S, u, max_iters=cap, tol=args.tol, keep_trace=True)
     agree = cyc.solution == pow_.solution
-    sandwich = (solvers.sandwich_check(S, u, max_iters=cap)
-                if args.tol is None else None)
+    sandwich = solvers.sandwich_check(cyc, pow_) if args.tol is None else None
 
     def side(report):
         d = _report_json(report)

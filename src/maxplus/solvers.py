@@ -5,11 +5,12 @@ H_j = {x | A_j x >= B_j x}, a closed subsemimodule, and both solvers
 compute the greatest solution below the starting point u, which is the
 canonical projection P_V(u).
 
-cyclic_solve projects onto H_1, ..., H_p in a fixed round-robin: one
-sweep applies the p row projections in order through the canonical
-projection formula, each O(|I| + |J|) for the row's support plus an
-O(n) copy of the iterate when it moves a coordinate.  power_solve
-iterates the whole system at once:
+One guarded loop runs both solvers, and they differ only in its step.
+The cyclic step is one sweep: the p row projections onto H_1, ..., H_p
+in a fixed round-robin through the canonical projection formula, each
+O(|I| + |J|) for the row's support plus an O(n) copy of the iterate
+when it moves a coordinate.  The power step moves the whole system at
+once:
 
     eta_next = B#(A eta) /\\ eta,
 
@@ -20,25 +21,31 @@ simply never constrains the iterate; no column condition is imposed.
 
 Both produce entrywise non-increasing iterates converging to P_V(u),
 and for every k the sandwich P_V(u) <= xi^{pk} <= eta^k holds, sweeps
-of the cyclic method tracking below single power steps.  On integer
+of the cyclic method tracking below single power steps; a trace keeps
+every iterate and, as ends, where each sweep or step ended in it, so
+sandwich_check reads the sandwich off two traced reports.  On integer
 data the power method reaches its fixed point within n * d(u, V)
 steps, d the projective distance; the reports carry this bound
 computed post hoc from the limit.
 
 Termination is an exactly unchanged sweep / step, or, given a
 tolerance, one whose largest entry change is below it (entries at an
-infinity must match exactly).  Where the limit has -inf coordinates
-that u lacks, those coordinates sink forever, so both solvers (and
-feasibility, a reading of the cyclic run) carry one divergence guard
-for a finite u and p > 0: after each sweep or step, every coordinate
-below the floor min(u) - n * default_divergence_cap(S, u) is pinned to
--inf.  A finite limit coordinate never lies that low: the limit
-touches u somewhere (else a translate of it would be a greater
-solution below u), and the cap (n + p + 2) * (M + 1), M the largest
-finite entry magnitude, exceeds the coordinate spread a solution can
-have.  The iterates stay at or above the limit, so a pinned coordinate
-is -inf in the limit, and the greatest solution below the pinned point
-is that same limit.  On integer data each sweep or step that moves
+infinity must match exactly).  The cyclic method keeps the sweep that
+passed this test; the power method drops that step and returns the
+iterate before it.  The two rules agree when the test is exact.
+
+Where the limit has -inf coordinates that u lacks, those coordinates
+sink forever, so the loop (and with it feasibility, a reading of the
+cyclic run) carries one divergence guard for a finite u and p > 0:
+after each sweep or step, every coordinate below the floor
+min(u) - n * default_divergence_cap(S, u) is pinned to -inf.  A
+finite limit coordinate never lies that low: the limit touches u
+somewhere (else a translate of it would be a greater solution below
+u), and the cap (n + p + 2) * (M + 1), M the largest finite entry
+magnitude, exceeds the coordinate spread a solution can have.  The
+iterates stay at or above the limit, so a pinned coordinate is -inf
+in the limit, and the greatest solution below the pinned point is
+that same limit.  On integer data each sweep or step that moves
 lowers a coordinate by at least 1, so a sinking run ends in finite
 time, Solved with -inf entries or BottomReached.  Until an entry falls
 below min(u) - 2n(n + p + 2), the highest the floor can be, the guard
@@ -99,12 +106,13 @@ class InequalitySystem:
 @dataclass(frozen=True)
 class IterationTrace:
     """The distinct iterate values in order, starting at the initial
-    point; step_kind "cyclic" records row-step values (cycle_length of
-    them per sweep), "power" whole steps."""
+    point; step_kind "cyclic" records row-step values, "power" whole
+    steps.  ends holds, per sweep or step, the index in points of the
+    iterate it ended at."""
 
     points: tuple
     step_kind: str
-    cycle_length: int | None = None
+    ends: tuple
 
 
 @dataclass(frozen=True)
@@ -130,10 +138,6 @@ class FeasibilityResult:
     status: str
     witness: TropicalVector | None
     pinned: tuple = ()
-
-
-def _is_bottom(x):
-    return all(e == NEG_INF for e in x.entries)
 
 
 def _scan(x):
@@ -246,74 +250,103 @@ def _check_start(S, u):
         raise DimensionError(f"system in dimension {S.n}, start has {len(u)}")
 
 
-def _prepare_rows(S):
-    """Classify and canonicalize each row once: Everything rows project
-    to the identity and are dropped; a BottomOnly row annihilates, so
-    signal it by index."""
-    prepared = []
-    for j, H in enumerate(S.row_halfspaces()):
+def _sweep(S):
+    """The cyclic step: one sweep of the rows, each classified and
+    canonicalized once here (Everything rows project to the identity
+    and are dropped); None when a BottomOnly row annihilates."""
+    rows = []
+    for H in S.row_halfspaces():
         kind = classify(H)
-        if kind is Kind.EVERYTHING:
-            continue
         if kind is Kind.BOTTOM_ONLY:
-            return None, j
-        prepared.append(canonicalize(H))
-    return prepared, None
+            return None
+        if kind is not Kind.EVERYTHING:
+            rows.append(canonicalize(H))
 
-
-def _cyclic_run(S, u, max_iters, tol=None, points=None, ends=None,
-                divergence_cap=None):
-    """The guarded sweep loop of cyclic_solve, feasibility and
-    sandwich_check.  Returns (status, x, sweeps, additions, pinned);
-    sweeps counts the sweeps that changed the iterate.  points, if
-    given, receives every new iterate value (row steps and pins), ends
-    every sweep end."""
-    _check_start(S, u)
-    rows, bottom_row = _prepare_rows(S)
-    if bottom_row is not None:
-        bot = _vec((NEG_INF,) * S.n)
-        if points is not None and u != bot:
-            points.append(bot)
-        if ends is not None:
-            ends.append(bot)
-        return Status.BOTTOM_REACHED, bot, 0 if _is_bottom(u) else 1, 0, ()
-
-    guard = _Guard(S, u, divergence_cap)
-    x = u
-    pattern, lo, hi = _scan(x)
-    sweeps = additions = 0
-    sweep_additions = {}
-    while True:
-        if sweeps >= max_iters:
-            return Status.ITERATION_CAP_HIT, x, sweeps, additions, guard.pinned
-        before = x
-        known = sweep_additions.get(pattern)
+    def sweep(x, points, counting):
         count = 0
         for C in rows:
-            if known is None:
+            if counting:
                 count += _row_additions(C, x)
             nxt = project_canonical(C, x)
             if points is not None and nxt is not x:
                 points.append(nxt)
             x = nxt
+        return x, count
+    return sweep
+
+
+def _power_step(S):
+    """The power step eta <- B#(A eta) /\\ eta."""
+    def step(x, points, counting):
+        y = mat_apply(S.A, x)
+        nxt = vec_meet(residuated_apply(S.B, y), x)
+        return nxt, _step_additions(S, x, y) if counting else None
+    return step
+
+
+def _cyclic_run(S, u, step, keep_last, max_iters, tol, points=None,
+                divergence_cap=None):
+    """The one guarded loop, x <- step(x), of both solvers and
+    feasibility.  Returns (status, x, sweeps, additions, pinned, ends);
+    sweeps counts the steps that changed the iterate.
+
+    step(x, points, counting) gives the next iterate and, when counting,
+    its finite additions; it may append intermediate iterates to points.
+    A step that passes the stop test ends the run with its iterate if
+    keep_last, else with the one before it, which it then leaves out of
+    points.  points, if given (holding u), receives every new iterate
+    value, and ends the index in it where each step ended.  A step of
+    None (_sweep's BottomOnly row) ends the run at bottom at once.
+    """
+    ends = []
+    if step is None:
+        bot = _vec((NEG_INF,) * S.n)
+        moved = u != bot
+        if points is not None:
+            if moved:
+                points.append(bot)
+            ends.append(len(points) - 1)
+        return Status.BOTTOM_REACHED, bot, int(moved), 0, (), ends
+    guard = _Guard(S, u, divergence_cap)
+    x = u
+    pattern, lo, hi = _scan(x)
+    sweeps = additions = 0
+    pattern_additions = {}
+    while sweeps < max_iters:
+        known = pattern_additions.get(pattern)
+        nxt, count = step(x, points, known is None)
         if known is None:
-            sweep_additions[pattern] = known = count
+            pattern_additions[pattern] = known = count
         additions += known
-        pattern, lo, hi = _scan(x)
+        pattern, lo, hi = _scan(nxt)
         if lo < guard.watch:
-            cut = guard.cut(x)
+            cut = guard.cut(nxt)
             if cut is not None:
-                x = cut
-                pattern, lo, hi = _scan(x)
-                if points is not None:
-                    points.append(x)
-        if ends is not None:
-            ends.append(x)
-        if _max_change_ok(before, x, tol):
-            return Status.SOLVED, x, sweeps, additions, guard.pinned
+                nxt = cut
+                pattern, lo, hi = _scan(nxt)
+        stop = _max_change_ok(x, nxt, tol)
+        if stop and not keep_last:
+            return Status.SOLVED, x, sweeps, additions, guard.pinned, ends
+        if points is not None:
+            if nxt is not points[-1]:  # unless the step appended it
+                points.append(nxt)
+            ends.append(len(points) - 1)
+        if stop:
+            return Status.SOLVED, nxt, sweeps, additions, guard.pinned, ends
+        x = nxt
         sweeps += 1
         if hi == NEG_INF:
-            return Status.BOTTOM_REACHED, x, sweeps, additions, guard.pinned
+            return Status.BOTTOM_REACHED, x, sweeps, additions, guard.pinned, ends
+    return Status.ITERATION_CAP_HIT, x, sweeps, additions, guard.pinned, ends
+
+
+def _solve(S, u, make_step, keep_last, kind, max_iters, tol, keep_trace):
+    _check_start(S, u)
+    points = [u] if keep_trace else None
+    status, x, sweeps, additions, pinned, ends = _cyclic_run(
+        S, u, make_step(S), keep_last, max_iters, tol, points)
+    trace = IterationTrace(tuple(points), kind, tuple(ends)) if keep_trace else None
+    return _report(u, status, x, sweeps, additions, trace, pinned)
 
 
 def cyclic_solve(S, u, max_iters=DEFAULT_MAX_ITERS, tol=None, keep_trace=False):
@@ -321,74 +354,36 @@ def cyclic_solve(S, u, max_iters=DEFAULT_MAX_ITERS, tol=None, keep_trace=False):
     endless descent (module docstring).
 
     max_iters caps the number of sweeps; iterations reports the number
-    of sweeps that changed the iterate.
+    of sweeps that changed the iterate.  The sweep that passes the stop
+    test is kept.
     """
-    points = [u] if keep_trace else None
-    status, x, sweeps, additions, pinned = _cyclic_run(S, u, max_iters, tol, points)
-    trace = IterationTrace(tuple(points), "cyclic", S.p) if keep_trace else None
-    return _report(u, status, x, sweeps, additions, trace, pinned)
+    return _solve(S, u, _sweep, True, "cyclic", max_iters, tol, keep_trace)
 
 
 def power_solve(S, u, max_iters=DEFAULT_MAX_ITERS, tol=None, keep_trace=False):
     """Whole-system fixed-point iteration eta <- B#(A eta) /\\ eta, with
-    the divergence guard of cyclic_solve."""
-    _check_start(S, u)
-    points = [u] if keep_trace else None
-    guard = _Guard(S, u)
-
-    def report(status, x, steps):
-        trace = IterationTrace(tuple(points), "power") if keep_trace else None
-        return _report(u, status, x, steps, additions, trace, guard.pinned)
-
-    x = u
-    pattern, lo, hi = _scan(x)
-    steps = additions = 0
-    step_additions = {}
-    while True:
-        if steps >= max_iters:
-            return report(Status.ITERATION_CAP_HIT, x, steps)
-        y = mat_apply(S.A, x)
-        nxt = vec_meet(residuated_apply(S.B, y), x)
-        count = step_additions.get(pattern)
-        if count is None:
-            count = step_additions[pattern] = _step_additions(S, x, y)
-        additions += count
-        pattern, lo, hi = _scan(nxt)
-        if lo < guard.watch:
-            cut = guard.cut(nxt)
-            if cut is not None:
-                nxt = cut
-                pattern, lo, hi = _scan(nxt)
-        if _max_change_ok(x, nxt, tol):
-            return report(Status.SOLVED, x, steps)
-        if keep_trace:
-            points.append(nxt)
-        x = nxt
-        steps += 1
-        if hi == NEG_INF:
-            return report(Status.BOTTOM_REACHED, x, steps)
+    the divergence guard of cyclic_solve.  The step that passes the stop
+    test is dropped."""
+    return _solve(S, u, _power_step, False, "power", max_iters, tol, keep_trace)
 
 
-def sandwich_check(S, u, max_iters=DEFAULT_MAX_ITERS):
-    """Verify limit <= xi^{pk} <= eta^k for every k until both sequences
-    are stationary.  Returns False as soon as an inequality fails, a
-    method hits max_iters (sweeps or steps), or the two limits
-    disagree."""
-    _check_start(S, u)
-    sweep_ends = [u]
-    status, limit, _, _, _ = _cyclic_run(S, u, max_iters, ends=sweep_ends)
-    if status is Status.ITERATION_CAP_HIT:
+def sandwich_check(cyclic, power):
+    """Verify limit <= xi^{pk} <= eta^k for every k, given the traced
+    reports of cyclic_solve and power_solve from the same start.
+    Returns False when an inequality fails, a method hit its cap, or
+    the two limits disagree."""
+    if cyclic.trace is None or power.trace is None:
+        raise ValueError("sandwich_check needs reports made with keep_trace=True")
+    if (Status.ITERATION_CAP_HIT in (cyclic.status, power.status)
+            or cyclic.solution != power.solution):
         return False
-    pow_ = power_solve(S, u, max_iters=max_iters, keep_trace=True)
-    if pow_.status is Status.ITERATION_CAP_HIT or pow_.solution != limit:
-        return False
-    steps = list(pow_.trace.points)
-    for k in range(max(len(sweep_ends), len(steps))):
-        xi_pk = sweep_ends[min(k, len(sweep_ends) - 1)]
-        eta_k = steps[min(k, len(steps) - 1)]
-        if not (leq(limit, xi_pk) and leq(xi_pk, eta_k)):
-            return False
-    return True
+    limit = cyclic.solution
+    xi, eta = ([t.points[0]] + [t.points[i] for i in t.ends]
+               for t in (cyclic.trace, power.trace))
+    k = max(len(xi), len(eta))
+    xi += xi[-1:] * (k - len(xi))
+    eta += eta[-1:] * (k - len(eta))
+    return all(leq(limit, a) and leq(a, b) for a, b in zip(xi, eta))
 
 
 def default_divergence_cap(S, u):
@@ -418,8 +413,8 @@ def feasibility(S, u, max_iters=DEFAULT_MAX_ITERS, divergence_cap=None):
     _check_start(S, u)
     if not all(NEG_INF < e < POS_INF for e in u.entries):
         raise UnsupportedCaseError("feasibility needs a finite starting point")
-    status, x, _, _, pinned = _cyclic_run(S, u, max_iters,
-                                          divergence_cap=divergence_cap)
+    status, x, _, _, pinned, _ = _cyclic_run(S, u, _sweep(S), True, max_iters, None,
+                                             divergence_cap=divergence_cap)
     pinned = tuple(sorted(pinned))
     if status is Status.SOLVED:
         return FeasibilityResult("FiniteSolution", x, pinned)

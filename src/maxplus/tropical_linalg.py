@@ -276,7 +276,7 @@ def parse_rows(text, mode=None, nrows=None):
         raise ParseError(f"count line must be {shape!r}, got {len(toks)} tokens",
                          line=lineno, column=_column(line, min(want, len(toks) - 1)))
     for k, t in enumerate(toks):
-        if not t.isdecimal():
+        if not (t.isascii() and t.isdecimal()):
             raise ParseError(f"expected a nonnegative integer count, got {t!r}",
                              line=lineno, column=_column(line, k))
     n = int(toks[-1])

@@ -353,7 +353,7 @@ def reference_parse_rows(text, mode=None, nrows=None):
         raise ParseError(f"count line must be {shape!r}, got {len(toks)} tokens",
                          line=lineno, column=toks[min(want, len(toks) - 1)][1])
     for t, c in toks:
-        if not t.isdecimal():
+        if not (t.isascii() and t.isdecimal()):
             raise ParseError(f"expected a nonnegative integer count, got {t!r}",
                              line=lineno, column=c)
     n = int(toks[-1][0])

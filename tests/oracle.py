@@ -7,7 +7,7 @@ the formulas under test are max/min/plus combinations, hence
 integer-valued on integer data, so step-1 grids of sufficient range
 are exact, not approximate.
 
-Test support only; nothing here is called by the CLI paths.
+Test support only: the library never imports it.
 """
 
 from __future__ import annotations
@@ -15,12 +15,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .extreal import NEG_INF, POS_INF
-from .halfspace import HalfSpace, contains
-from .hilbert_metric import hilbert_distance
-from .semimodule import GeneratedSemimodule
-from .tropical_linalg import (TropicalVector, leq, mat_apply,
-                              residuated_apply, vec_oplus, vec_scale)
+from maxplus.extreal import NEG_INF, POS_INF
+from maxplus.halfspace import HalfSpace, contains
+from maxplus.hilbert_metric import hilbert_distance
+from maxplus.semimodule import GeneratedSemimodule
+from maxplus.tropical_linalg import (TropicalVector, leq, mat_apply,
+                                     residuated_apply, vec_oplus, vec_scale)
 
 
 @dataclass(frozen=True)

@@ -155,12 +155,18 @@ def test_compare_sweeps_at_most_twice_solve(files, capsys, monkeypatch):
     S, u, _ = planted_system_sized(random.Random(97), 20, 20)
     a, b, u = system_files(files, S, u)
     calls = counting(monkeypatch, solvers, "project_canonical")
+    steps = counting(monkeypatch, solvers, "mat_apply")
     argv = ["--a", a, "--b", b, "--init", u, "--output", "json"]
     assert run(capsys, ["solve", "--method", "both"] + argv)[0] == 0
     solve_calls, calls[0] = calls[0], 0
+    assert steps[0] == 4
+    steps[0] = 0
+    # the sandwich check reads the two runs compare reports, and solves
+    # nothing again
     assert run(capsys, ["compare"] + argv)[0] == 0
     assert solve_calls > 0
-    assert calls[0] <= 2 * solve_calls
+    assert calls[0] == solve_calls
+    assert steps[0] == 4
     # --max-iters bounds the sandwich check too; a capped run fails it
     a, b, u = system_files(files, chase_system(), v(500, 500, 0))
     argv = ["--a", a, "--b", b, "--init", u, "--max-iters", "2", "--output", "json"]
@@ -171,7 +177,7 @@ def test_compare_sweeps_at_most_twice_solve(files, capsys, monkeypatch):
     got = json.loads(out)
     assert rc == 1 and got["cyclic"]["status"] == got["power"]["status"] == "IterationCapHit"
     assert got["sandwich"] is False
-    assert 0 < calls[0] <= 2 * solve_calls
+    assert 0 < calls[0] == solve_calls
 
 
 def test_separate_projects_once(files, capsys, monkeypatch):

@@ -12,7 +12,7 @@ from maxplus.errors import (ClassificationError, InfiniteDistanceError,
                             MaxplusError, PointInSetError,
                             UnsupportedCaseError)
 from maxplus.halfspace import Kind
-from maxplus.oracle import GridSpec, grid_min_distance, grid_projection, grid_vectors
+from oracle import GridSpec, grid_min_distance, grid_projection, grid_vectors
 from helpers import (DISJ_H, DISJ_X, NEG, POS, RULTER_H, SUBFACE_H, SUBFACE_X,
                      finite, rand_halfspace, rand_payload, rand_vector,
                      reference_best_approx_set, typed, v)

@@ -6,8 +6,8 @@ import random
 import pytest
 
 import maxplus as mp
-from maxplus.oracle import (GridSpec, grid_galois, grid_min_distance,
-                            grid_projection, grid_vectors)
+from oracle import (GridSpec, grid_galois, grid_min_distance,
+                    grid_projection, grid_vectors)
 from helpers import DISJ_H, DISJ_X, NEG, POS, v
 
 def test_gridspec_validation():

@@ -12,7 +12,7 @@ import maxplus as mp
 from maxplus.errors import (DimensionError, InfiniteDistanceError,
                             MaxplusError, PointInSetError,
                             UnsupportedCaseError)
-from maxplus.oracle import GridSpec, grid_projection
+from oracle import GridSpec, grid_projection
 from helpers import (EVAX_GENS, EVAX_P, EVAX_X, NEG, POS, finite,
                      rand_payload, rand_semimodule, rand_vector,
                      reference_is_orthogonal, reference_project,

@@ -45,7 +45,9 @@ def test_ring_cyclic_trace_exact():
     assert r.solution == RING_LIMIT
     assert r.iterations == 1  # every row step lands inside one sweep
     assert list(r.trace.points) == [U6] + RING_CYCLIC_STEPS
-    assert r.trace.step_kind == "cyclic" and r.trace.cycle_length == 5
+    assert r.trace.step_kind == "cyclic"
+    # the changing sweep ends at the last row step, the still one too
+    assert r.trace.ends == (5, 5)
 
 
 def test_ring_power_trace_exact():
@@ -55,10 +57,32 @@ def test_ring_power_trace_exact():
     assert r.iterations == 5
     assert list(r.trace.points) == [U6] + RING_POWER_STEPS
     assert r.trace.step_kind == "power"
+    assert r.trace.ends == (1, 2, 3, 4, 5)
+
+
+def sandwich(S, u, **kw):
+    return mp.sandwich_check(mp.cyclic_solve(S, u, keep_trace=True, **kw),
+                             mp.power_solve(S, u, keep_trace=True, **kw))
 
 
 def test_ring_sandwich():
-    assert mp.sandwich_check(ring_ineq_system(), U6)
+    assert sandwich(ring_ineq_system(), U6)
+
+
+def test_sandwich_reads_the_reports():
+    S = chain_system()
+    # a capped run fails the check, and so do limits that disagree
+    assert sandwich(S, v(5, 5, 0))
+    assert not sandwich(S, v(5, 5, 0), max_iters=2)
+    assert not mp.sandwich_check(mp.cyclic_solve(S, v(5, 5, 0), keep_trace=True),
+                                 mp.power_solve(S, v(5, 5, -1), keep_trace=True))
+    # same limit (0, 0, 0), but the sweep ends from (5, 5, 0) lie above
+    # the power steps from (4, 4, 0)
+    assert not mp.sandwich_check(mp.cyclic_solve(S, v(5, 5, 0), keep_trace=True),
+                                 mp.power_solve(S, v(4, 4, 0), keep_trace=True))
+    with pytest.raises(ValueError, match="keep_trace"):
+        mp.sandwich_check(mp.cyclic_solve(S, v(5, 5, 0)),
+                          mp.power_solve(S, v(5, 5, 0), keep_trace=True))
 
 
 def test_feasible_start_is_returned_unchanged():
@@ -129,6 +153,81 @@ def test_float_tolerance_mode():
     assert loose.iterations < exact.iterations
 
 
+def float_system(rng, n=3, p=3):
+    """A seeded float system and start, entries quarters in [-3, 3] (30%
+    of the matrix entries -inf), so every change is exact in binary."""
+    def entry():
+        return rng.randint(-12, 12) / 4 if rng.random() > 0.3 else NEG
+    A = mp.matrix([[entry() for _ in range(n)] for _ in range(p)], ncols=n)
+    B = mp.matrix([[entry() for _ in range(n)] for _ in range(p)], ncols=n)
+    u = mp.vector([rng.randint(-12, 12) / 4 for _ in range(n)])
+    return mp.InequalitySystem(A, B), u
+
+
+# (case, solver, tol): status, solution, iterations, finite_additions, trace
+TOLERANCE_RUNS = {
+    (15, "cyclic_solve", 0.5): (
+        Status.SOLVED, (-6.0, -2.0, -5.0), 2, 34,
+        [(0.5, -2.0, 1.75), (0.5, -2.0, 1.5), (-6.0, -2.0, -2.5), (-6.0, -2.0, -5.0)]),
+    (15, "cyclic_solve", 2.0): (
+        Status.SOLVED, (-6.0, -2.0, -5.0), 2, 34,
+        [(0.5, -2.0, 1.75), (0.5, -2.0, 1.5), (-6.0, -2.0, -2.5), (-6.0, -2.0, -5.0)]),
+    # the next step would still lower x_2 to -5.0, but by no more than tol
+    (15, "power_solve", 0.5): (
+        Status.SOLVED, (-6.0, -2.0, -4.5), 4, 92,
+        [(0.5, -2.0, 1.75), (-2.0, -2.0, 0.5), (-4.5, -2.0, -1.0),
+         (-6.0, -2.0, -2.75), (-6.0, -2.0, -4.5)]),
+    (15, "power_solve", 2.0): (
+        Status.SOLVED, (-4.5, -2.0, -1.0), 2, 58,
+        [(0.5, -2.0, 1.75), (-2.0, -2.0, 0.5), (-4.5, -2.0, -1.0)]),
+    # the last sweep moved by at most tol, and its iterate is kept
+    (28, "cyclic_solve", 2.0): (
+        Status.SOLVED, (-5.75, -3.75, -3.25), 1, 23,
+        [(-1.25, 1.5, -2.0), (-1.25, -2.25, -2.0), (-4.25, -2.25, -2.0),
+         (-4.25, -3.75, -2.0), (-5.75, -3.75, -3.25)]),
+    (28, "power_solve", 2.0): (
+        Status.SOLVED, (-3.5, -2.25, -2.0), 2, 49,
+        [(-1.25, 1.5, -2.0), (-1.25, -2.25, -2.0), (-3.5, -2.25, -2.0)]),
+}
+
+# the same system sinks at tol 0.5 until the guard pins it: the trace
+# length, the sum of its finite entries, the pinned indices and its end
+SINKING_TOLERANCE_RUNS = {
+    "cyclic_solve": (74, 585, 150, -20927.75, (0, 1),
+                     [(NEG, -92.5, -90.75), (NEG, -92.5, -92.0),
+                      (NEG, NEG, -92.0), (NEG, NEG, NEG)]),
+    "power_solve": (146, 2037, 147, -20282.75, (0, 1, 2),
+                    [(-92.0, -91.25, -89.5), (NEG, -91.25, -90.75),
+                     (NEG, NEG, -90.75), (NEG, NEG, NEG)]),
+}
+
+
+def test_tolerance_runs_are_pinned():
+    # under a tolerance the cyclic method keeps the sweep that passed
+    # the stop test, the power method returns the iterate before it
+    rng = random.Random(1)
+    cases = [float_system(rng) for _ in range(29)]
+    for (c, name, tol), want in TOLERANCE_RUNS.items():
+        S, u = cases[c]
+        r = getattr(mp, name)(S, u, tol=tol, keep_trace=True)
+        got = (r.status, tuple(r.solution), r.iterations, r.finite_additions,
+               [tuple(x) for x in r.trace.points])
+        assert got == want, (c, name, tol)
+    S, u = cases[28]
+    for name, (its, adds, length, total, pinned, tail) in SINKING_TOLERANCE_RUNS.items():
+        r = getattr(mp, name)(S, u, tol=0.5, keep_trace=True)
+        pts = r.trace.points
+        assert r.status is Status.BOTTOM_REACHED and r.solution == v(NEG, NEG, NEG)
+        assert (r.iterations, r.finite_additions, r.pinned) == (its, adds, pinned)
+        assert len(pts) == length and pts[0] == u
+        assert sum(e for x in pts for e in x if finite(e)) == total
+        assert [tuple(x) for x in pts[-4:]] == tail, name
+    # the step after power's tol-0.5 answer still moves the iterate
+    S, u = cases[15]
+    x = mp.power_solve(S, u, tol=0.5).solution
+    assert mp.vec_meet(mp.residuated_apply(S.B, mp.mat_apply(S.A, x)), x) != x
+
+
 def test_monotone_descent_traces():
     rng = random.Random(91)
     for _ in range(100):
@@ -170,7 +269,7 @@ def test_sandwich_random():
     rng = random.Random(94)
     for _ in range(60):
         S, u, _ = planted_system(rng)
-        assert mp.sandwich_check(S, u)
+        assert sandwich(S, u)
 
 
 def test_feasibility_ring():

@@ -185,6 +185,20 @@ def test_count_must_be_a_decimal_integer():
     assert e.value.line == 1 and e.value.column == 1
 
 
+def test_count_digits_are_ascii():
+    # non-ASCII decimal digits are refused on the count line as they
+    # are in entries: Arabic-Indic three, fullwidth two
+    for text, read, column in (("\u0663 1\n1\n2\n3\n", mp.parse_rows, 1),
+                               ("3 \u0663\n1 2 3\n", mp.parse_rows, 3),
+                               ("\uff12\n1 2\n", mp.parse_vector, 1)):
+        with pytest.raises(ParseError, match="nonnegative integer count") as e:
+            read(text)
+        assert (e.value.line, e.value.column) == (1, column), text
+        with pytest.raises(ParseError) as e:
+            reference_parse_rows(text, nrows=None if read is mp.parse_rows else 1)
+        assert (e.value.line, e.value.column) == (1, column), text
+
+
 def test_parse_rows():
     rows, n = mp.parse_rows("2 3\n0 -inf 2\n\n-1 -2 +inf\n")
     assert (rows, n) == ((v(0, NEG, 2), v(-1, -2, POS)), 3)
