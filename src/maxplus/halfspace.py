@@ -36,6 +36,16 @@ With canonical coefficients (a', b'), writing I = Supp a', J = Supp b':
 
     the whole face then being translated by any finite amount.
 
+A half-space computes its kind and (unless BottomOnly) its canonical
+form on first use and keeps both: classify, canonicalize, project,
+distance and the best-approximation operations read that pair, so each
+is computed once per half-space object.  The cost is one canonical
+form per half-space, kept by a single attribute store, so a concurrent
+reader sees no pair or the whole pair.  Nothing invalidates it:
+half-spaces and vectors are immutable, and no code assigns their
+attributes after construction (tropical_linalg._vec only fills a new
+vector).
+
 Indices are 0-based everywhere.
 """
 
@@ -69,9 +79,9 @@ def _check_coefficients(v, what):
 
 class HalfSpace:
     """The inequality a.h >= b.h; a and b have equal length and no
-    +inf entries."""
+    +inf entries.  _form caches (kind, canonical form or None)."""
 
-    __slots__ = ("a", "b")
+    __slots__ = ("a", "b", "_form")
 
     def __init__(self, a, b):
         a = a if isinstance(a, TropicalVector) else TropicalVector(a)
@@ -80,6 +90,7 @@ class HalfSpace:
             raise DimensionError(f"coefficient lengths {len(a)} vs {len(b)}")
         self.a = _check_coefficients(a, "left")
         self.b = _check_coefficients(b, "right")
+        self._form = None
 
     @property
     def n(self):
@@ -97,7 +108,8 @@ class HalfSpace:
 @dataclass(frozen=True)
 class CanonicalHalfSpace:
     """Coefficients with disjoint supports defining the same set.
-    I = Supp a_prime, J = Supp b_prime; J is nonempty (proper input).
+    I = Supp a_prime, J = Supp b_prime; J is nonempty for a proper H
+    (the form an Everything H keeps in _form has J empty).
     a_pairs / b_pairs: the (index, coefficient) pairs on I / J, sorted."""
 
     a_prime: TropicalVector
@@ -176,23 +188,39 @@ def contains(H, h):
     return row_apply(H.a, h) >= row_apply(H.b, h)
 
 
+def _form(H):
+    """(kind, canonical form or None) of H, computed once and kept.
+
+    An Everything half-space keeps its form as well (a' = a, b' bottom):
+    with float and exact payloads mixed, a rounded sum can still put a
+    point outside it, and distance and best approximation then read a'.
+    """
+    form = H._form
+    if form is None:
+        if all(ai >= bi for ai, bi in zip(H.a, H.b)):
+            kind = Kind.EVERYTHING
+        elif all(ai < bi for ai, bi in zip(H.a, H.b)):
+            kind = Kind.BOTTOM_ONLY
+        else:
+            kind = Kind.PROPER
+        form = (kind, None if kind is Kind.BOTTOM_ONLY else _canonical(H))
+        H._form = form
+    return form
+
+
 def classify(H):
-    if all(ai >= bi for ai, bi in zip(H.a, H.b)):
-        return Kind.EVERYTHING
-    if all(ai < bi for ai, bi in zip(H.a, H.b)):
-        return Kind.BOTTOM_ONLY
-    return Kind.PROPER
+    return _form(H)[0]
 
 
 def canonicalize(H):
-    kind = classify(H)
+    kind, C = _form(H)
     if kind is not Kind.PROPER:
         raise ClassificationError(f"cannot canonicalize a {kind.value} half-space")
-    return _canonical(H)
+    return C
 
 
 def _canonical(H):
-    """canonicalize for an H already classified Proper."""
+    """The disjoint-support coefficients of an H that is not BottomOnly."""
     a_prime = []
     b_prime = []
     I, J = set(), set()
@@ -255,12 +283,12 @@ def project(H, x):
     """The greatest element of H below x."""
     if H.n != len(x):
         raise DimensionError(f"half-space in dimension {H.n}, point has {len(x)}")
-    kind = classify(H)
+    kind, C = _form(H)
     if kind is Kind.EVERYTHING:
         return x
     if kind is Kind.BOTTOM_ONLY:
         return _vec((NEG_INF,) * H.n)
-    return project_canonical(_canonical(H), x)
+    return project_canonical(C, x)
 
 
 def distance(H, x):
@@ -271,10 +299,11 @@ def distance(H, x):
     bx = row_apply(H.b, x)
     if row_apply(H.a, x) >= bx:  # contains(H, x), true when H is Everything
         return hilbert_distance(x, x)
-    if classify(H) is Kind.BOTTOM_ONLY:
+    kind, C = _form(H)
+    if kind is Kind.BOTTOM_ONLY:
         # H = {bottom} and x is not bottom
         return POS_INF
-    return scalar_residual(row_apply(_canonical(H).a_prime, x), bx)
+    return scalar_residual(row_apply(C.a_prime, x), bx)
 
 
 def _reject_pos_inf(x):
@@ -293,11 +322,11 @@ def _prepared(H, x):
     bx = row_apply(H.b, x)
     if row_apply(H.a, x) >= bx:  # contains(H, x), true when H is Everything
         raise PointInSetError("the point already lies in the half-space")
-    if classify(H) is Kind.BOTTOM_ONLY:
+    kind, C = _form(H)
+    if kind is Kind.BOTTOM_ONLY:
         raise InfiniteDistanceError(
             "the half-space is the bottom vector alone; distance is +inf")
     # x is outside, so no index dropped from b attains bx: bx = b'x
-    C = _canonical(H)
     ax = row_apply(C.a_prime, x)
     d = scalar_residual(ax, bx)
     if d == POS_INF:

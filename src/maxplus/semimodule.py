@@ -38,6 +38,20 @@ there; a generator with a +inf entry, or finite somewhere x is -inf,
 is scaled to bottom inside any element at finite distance from x, so
 dropping it leaves the projection unchanged and the restriction is
 exact, not an approximation.
+
+A semimodule keeps the last point it projected, keyed by the identity
+of the point's entries tuple, with its projection.  distance_to,
+membership and universal_halfspace on one point, and
+universal_halfspace on what reduce_problem returns, therefore run the
+generator loop once between them.  The key is held by a strong
+reference, and a tuple of numbers is immutable, so the same object
+means the same values and payload types; an equal point in another
+tuple ((1,) against (1.0,) or another (1,)) is projected afresh.  The
+cost is one point and one projection per semimodule, replaced by a
+single attribute store, so a concurrent reader sees the old pair or
+the new one.  Nothing invalidates the pair: vectors and semimodules
+are immutable, and no code assigns their attributes after construction
+(tropical_linalg._vec only fills a new vector).
 """
 
 from __future__ import annotations
@@ -53,9 +67,12 @@ from .tropical_linalg import (TropicalMatrix, TropicalVector, _vec,
 
 class GeneratedSemimodule:
     """An immutable generating family; possibly empty (spanning just
-    the bottom vector), in which case the dimension must be given."""
+    the bottom vector), in which case the dimension must be given.
 
-    __slots__ = ("generators", "n", "_support")
+    _last holds the last point projected onto it, keyed by its entries
+    tuple, and that projection (see project)."""
+
+    __slots__ = ("generators", "n", "_support", "_last")
 
     def __init__(self, generators, n=None):
         self.generators = tuple(g if isinstance(g, TropicalVector)
@@ -75,6 +92,7 @@ class GeneratedSemimodule:
         self._support = tuple([tuple([i for i, e in enumerate(g.entries)
                                       if e != NEG_INF])
                                for g in self.generators])
+        self._last = (None, None)
 
     def __eq__(self, other):
         if not isinstance(other, GeneratedSemimodule):
@@ -102,9 +120,15 @@ def _residual(g, support, us):
 
 
 def project(V, u):
-    """The greatest element of V below u; see the module docstring."""
-    _check_dim(V, u)
+    """The greatest element of V below u; see the module docstring.
+
+    A repeated query on the same entries tuple returns the stored
+    projection without the loop."""
     us = u.entries
+    last = V._last
+    if last[0] is us:
+        return last[1]
+    _check_dim(V, u)
     best = [NEG_INF] * len(us)
     for g, support in zip(V.generators, V._support):
         ge = g.entries
@@ -123,7 +147,9 @@ def project(V, u):
             t = ge[i] + lam
             if t > best[i]:
                 best[i] = t
-    return _vec(tuple(best))
+    P = _vec(tuple(best))
+    V._last = (us, P)
+    return P
 
 
 def distance_to(V, x):
@@ -180,8 +206,12 @@ def _separating_halfspace(x, P):
         else:
             # a projection entry may be a ratio p/1, which enters as an int
             b[j] = _finite(-pj)
-    # the projection is maximal below x, so it touches x somewhere
-    assert touched
+    if not touched:
+        # exactly, the projection is maximal below x and touches it; a
+        # float payload rounded against an exact one can miss x instead
+        raise UnsupportedCaseError(
+            "the projection misses x on every coordinate: float and exact "
+            "(int or Fraction) payloads mixed, and a rounded sum fell off x")
     # -x_j is as valid as x_j: the coefficients need no second check
     return HalfSpace(_vec(tuple(a)), _vec(tuple(b)))
 

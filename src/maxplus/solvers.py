@@ -63,7 +63,8 @@ from dataclasses import dataclass
 
 from .errors import DimensionError, MaxplusError, UnsupportedCaseError
 from .extreal import NEG_INF, POS_INF
-from .halfspace import HalfSpace, Kind, canonicalize, classify, project_canonical
+from .halfspace import (HalfSpace, Kind, _check_coefficients, canonicalize,
+                        classify, project_canonical)
 from .hilbert_metric import hilbert_distance
 from .tropical_linalg import (TropicalMatrix, TropicalVector, _vec, leq,
                               mat_apply, residuated_apply, vec_meet)
@@ -78,7 +79,8 @@ class Status(enum.Enum):
 
 
 class InequalitySystem:
-    """The p inequalities A_j x >= B_j x, shapes equal, p = 0 allowed."""
+    """The p inequalities A_j x >= B_j x, shapes equal, p = 0 allowed;
+    like the row half-spaces, A and B have no +inf entries."""
 
     __slots__ = ("A", "B")
 
@@ -88,6 +90,9 @@ class InequalitySystem:
         if A.nrows != B.nrows or A.ncols != B.ncols:
             raise DimensionError(
                 f"shape {A.nrows}x{A.ncols} vs {B.nrows}x{B.ncols}")
+        for a, b in zip(A.rows, B.rows):
+            _check_coefficients(a, "left")
+            _check_coefficients(b, "right")
         self.A = A
         self.B = B
 

@@ -14,7 +14,8 @@ import pytest
 import maxplus as mp
 from maxplus import cli, semimodule, solvers
 from maxplus.cli import main
-from helpers import (DISJ_H, DISJ_X, EVAX_GENS, NEG, chain_system,
+from maxplus.errors import UnsupportedCaseError
+from helpers import (DISJ_H, DISJ_X, EVAX_GENS, NEG, POS, chain_system,
                      chase_system, planted_system_sized, ring_ineq_system, v)
 
 
@@ -346,6 +347,23 @@ def test_parse_error_exit_2(files, capsys):
     assert rc == 2
     assert err.startswith("error:")
     assert "line 2, column 3" in err
+
+
+def test_pos_inf_coefficients_refused_by_every_solver(files, capsys):
+    u = v(1, 2)
+    for A, B, side in (([[POS, 0]], [[0, 0]], "left"),
+                       ([[0, 0]], [[0, POS]], "right")):
+        A, B = mp.matrix(A), mp.matrix(B)
+        message = f"{side} coefficients must lie in R u {{-inf}}, found \\+inf"
+        for solve in (mp.cyclic_solve, mp.power_solve, mp.feasibility):
+            with pytest.raises(UnsupportedCaseError, match=message):
+                solve(mp.InequalitySystem(A, B), u)
+        a, b = files("A.txt", mp.format_matrix(A)), files("B.txt", mp.format_matrix(B))
+        init = files("u.txt", mp.format_vector(u))
+        for method in ("cyclic", "power", "both"):
+            rc, out, err = run(capsys, ["solve", "--a", a, "--b", b,
+                                        "--init", init, "--method", method])
+            assert (rc, out) == (2, "") and re.search(message, err)
 
 
 def test_missing_file_exit_2(files, capsys):

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import maxplus as mp
+from maxplus import halfspace
 from maxplus.errors import (ClassificationError, InfiniteDistanceError,
                             MaxplusError, PointInSetError,
                             UnsupportedCaseError)
@@ -360,3 +361,37 @@ coefficients = st.one_of(st.just(NEG), st.integers(min_value=-4, max_value=4),
 def test_best_approx_faces_match_full_scan(case):
     a, b, x = case
     _check_faces(mp.HalfSpace(a, b), mp.vector(x))
+
+
+def test_canonical_form_computed_once(monkeypatch):
+    calls = [0]
+    inner = halfspace._canonical
+
+    def counted(H):
+        calls[0] += 1
+        return inner(H)
+    monkeypatch.setattr(halfspace, "_canonical", counted)
+    H = mp.HalfSpace(DISJ_H.a, DISJ_H.b)
+    x = v(*DISJ_X)
+    P = mp.project(H, x)
+    d = mp.distance(H, x)
+    best = mp.best_approx_set(H, x)
+    assert all(mp.is_best_approx(H, x, mp.vector(
+        [f.fixed[k] if k in f.fixed else f.box[k][0] for k in range(len(x))]))
+        for f in best.faces)
+    assert mp.classify(H) is Kind.PROPER
+    assert mp.canonicalize(H) is mp.canonicalize(H)
+    assert calls[0] == 1
+    assert mp.project(H, x) == P and mp.distance(H, x) == d
+    assert best.base_distance == d
+    # another object with the same coefficients has its own form
+    mp.project(mp.HalfSpace(DISJ_H.a, DISJ_H.b), x)
+    assert calls[0] == 2
+    # improper half-spaces refuse canonicalize every time; an Everything
+    # one computes its form once, a BottomOnly one none
+    improper = (mp.HalfSpace([0, 0], [-1, NEG]), mp.HalfSpace([-1], [0]))
+    for _ in range(2):
+        for E in improper:
+            with pytest.raises(ClassificationError):
+                mp.canonicalize(E)
+    assert calls[0] == 3

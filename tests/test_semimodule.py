@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import maxplus as mp
+from maxplus import semimodule
 from maxplus.errors import (DimensionError, InfiniteDistanceError,
                             MaxplusError, PointInSetError,
                             UnsupportedCaseError)
@@ -350,8 +351,8 @@ def test_separating_halfspace_keeps_payload_types():
     H = mp.universal_halfspace(V, v(1, 3))
     assert typed(H.a) == typed(v(-1, NEG)) and typed(H.b) == typed(v(NEG, -1))
     # exact payloads only: with floats mixed in, a rounded projection can
-    # miss x on every coordinate, which universal_halfspace does not
-    # handle (its assertion that P touches x fails)
+    # miss x on every coordinate, which universal_halfspace refuses (see
+    # test_separation_refuses_a_rounded_miss)
     def exact(p_neg, p_pos):
         e = rand_payload(rng, p_neg, p_pos)
         return mp.scalar(Fraction(e)) if type(e) is float and finite(e) else e
@@ -372,3 +373,68 @@ def test_separating_halfspace_keeps_payload_types():
         assert (typed(H.a), typed(H.b)) == (typed(want.a), typed(want.b))
         built += 1
     assert built > 500
+
+
+def test_separation_refuses_a_rounded_miss():
+    # exactly, the projection of -2/3 onto the span of (0.0) is -2/3; the
+    # float sum 0.0 + (-2/3 - 0.0) rounds above it and touches x nowhere
+    with pytest.raises(UnsupportedCaseError, match="payloads mixed"):
+        mp.universal_halfspace(mp.GeneratedSemimodule([[0.0]]),
+                               v(Fraction(-2, 3)))
+    rng = random.Random(26)
+    built = missed = 0
+    for _ in range(3000):
+        n = rng.randint(1, 5)
+        V = _mixed_family(rng, n)
+        x = mp.vector([rand_payload(rng, 0.05, 0.05) for _ in range(n)])
+        try:
+            mp.universal_halfspace(V, x)
+        except MaxplusError as e:
+            missed += "payloads mixed" in str(e)
+        else:
+            built += 1
+    assert built > 300 and missed > 0
+
+
+# --- the last-point memo ----------------------------------------------------
+
+def test_one_projection_per_point(monkeypatch):
+    residuals = [0]
+    inner = semimodule._residual
+
+    def counted(*args):
+        residuals[0] += 1
+        return inner(*args)
+    monkeypatch.setattr(semimodule, "_residual", counted)
+    V = mp.GeneratedSemimodule(EVAX_GENS.generators + (v(0, NEG, 2),))
+    x = v(*EVAX_X)
+    P = mp.project_semimodule(V, x)
+    assert mp.distance_to(V, x) == mp.hilbert_distance(x, P)
+    mp.universal_halfspace(V, x)
+    assert mp.project_semimodule(V, x) is P
+    assert residuals[0] == 4  # one pass over the four generators
+    residuals[0] = 0
+    y = v(3, NEG, 1)
+    mp.project_semimodule(V, y)
+    mp.distance_to(V, y)
+    y2, V2, _ = mp.reduce_problem(V, y)
+    mp.universal_halfspace(V2, y2)
+    # one pass over V, one over the two generators -inf at index 1
+    assert len(V2.generators) == 2
+    assert residuals[0] == 4 + 2
+
+
+def test_memo_keys_on_the_entries_tuple():
+    half = mp.parse_scalar("1/2")
+    V = mp.GeneratedSemimodule([[half, 0, NEG], [0, NEG, 1.5]])
+    points = [v(1, 2, 3), v(1.0, 2.0, 3.0), v(mp.parse_scalar("3/2"), 2, 3),
+              v(1.5, 2, 3), v(1, 2, 3)]
+    for _ in range(2):
+        for x in points:
+            P = mp.project_semimodule(V, x)
+            assert typed(P) == typed(reference_project(V, x))
+            assert mp.project_semimodule(V, x) is P
+    # equal values in another tuple: a fresh projection, of equal value
+    P0 = mp.project_semimodule(V, points[0])
+    assert mp.project_semimodule(V, points[-1]) is not P0
+    assert typed(mp.project_semimodule(V, points[-1])) == typed(P0)
