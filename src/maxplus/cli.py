@@ -41,7 +41,6 @@ from . import semimodule as sm
 from . import solvers
 from .errors import (InfiniteDistanceError, MaxplusError, PointInSetError)
 from .extreal import NEG_INF, POS_INF, format_scalar
-from .hilbert_metric import hilbert_distance
 from .tropical_linalg import format_vector, parse_matrix, parse_vector
 
 DEFAULT_TOL = 1e-9
@@ -308,7 +307,7 @@ def cmd_separate(args):
     reduced = NEG_INF in P.entries or NEG_INF in x.entries or POS_INF in x.entries
     if reduced:
         try:
-            x_r, _, index_map, P_r = sm._reduce(V, x)
+            x_r, V_r, index_map = sm.reduce_problem(V, x)
         except InfiniteDistanceError:
             _emit(args, {"distance": "+inf", "separable": False},
                   lambda: print("distance is +inf: no element of the "
@@ -316,10 +315,11 @@ def cmd_separate(args):
             return 0
         index_map = list(index_map)
     else:
-        x_r, P_r = x, P
+        x_r, V_r = x, V
         index_map = list(range(len(x)))
-    H = sm._separating_halfspace(x_r, P_r)
-    d = hilbert_distance(x_r, P_r)
+    # V_r keeps the projection of x_r, so neither call projects again
+    H = sm.universal_halfspace(V_r, x_r)
+    d = sm.distance_to(V_r, x_r)
     payload = {
         "a": _tokens(H.a),
         "b": _tokens(H.b),

@@ -36,10 +36,15 @@ With canonical coefficients (a', b'), writing I = Supp a', J = Supp b':
 
     the whole face then being translated by any finite amount.
 
-A half-space computes its kind and (unless BottomOnly) its canonical
-form on first use and keeps both: classify, canonicalize, project,
-distance and the best-approximation operations read that pair, so each
-is computed once per half-space object.  The cost is one canonical
+A canonical form is stored once, as the ascending (index, coefficient)
+pairs on I and on J; a', b', I and J are read off them, and a'x, a'h
+and b'h are evaluated over the pairs alone.  One pass over (a_i, b_i)
+builds both lists, and the kind falls out of it: Everything iff J is
+empty, BottomOnly iff J is all of range(n).  A half-space computes its
+kind and (unless BottomOnly) its canonical form on first use and keeps
+both: classify, canonicalize, project, distance and the
+best-approximation operations read that pair, so each is computed
+once per half-space object.  The cost is one canonical
 form per half-space, kept by a single attribute store, so a concurrent
 reader sees no pair or the whole pair.  Nothing invalidates it:
 half-spaces and vectors are immutable, and no code assigns their
@@ -52,7 +57,7 @@ Indices are 0-based everywhere.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (ClassificationError, DimensionError,
                      InfiniteDistanceError, PointInSetError,
@@ -60,7 +65,7 @@ from .errors import (ClassificationError, DimensionError,
 from .extreal import NEG_INF, POS_INF, scalar_residual
 from .hilbert_metric import hilbert_distance
 from .tropical_linalg import (TropicalVector, _vec, format_rows, parse_rows,
-                              row_apply, vec_oplus)
+                              row_apply)
 
 
 class Kind(enum.Enum):
@@ -107,26 +112,31 @@ class HalfSpace:
 
 @dataclass(frozen=True)
 class CanonicalHalfSpace:
-    """Coefficients with disjoint supports defining the same set.
-    I = Supp a_prime, J = Supp b_prime; J is nonempty for a proper H
-    (the form an Everything H keeps in _form has J empty).
-    a_pairs / b_pairs: the (index, coefficient) pairs on I / J, sorted."""
+    """Coefficients with disjoint supports defining the same set, in
+    dimension n.  a_pairs / b_pairs are the ascending (index,
+    coefficient) pairs on I = Supp a' and J = Supp b', every
+    coefficient finite; J is nonempty for a proper H (the form an
+    Everything H keeps in _form has J empty)."""
 
-    a_prime: TropicalVector
-    b_prime: TropicalVector
-    I: frozenset
-    J: frozenset
-    a_pairs: tuple = field(init=False, repr=False, compare=False)
-    b_pairs: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        for name, v, S in (("a_pairs", self.a_prime, self.I),
-                           ("b_pairs", self.b_prime, self.J)):
-            object.__setattr__(self, name, tuple([(i, v[i]) for i in sorted(S)]))
+    n: int
+    a_pairs: tuple
+    b_pairs: tuple
 
     @property
-    def n(self):
-        return len(self.a_prime)
+    def I(self):
+        return frozenset([i for i, _ in self.a_pairs])
+
+    @property
+    def J(self):
+        return frozenset([j for j, _ in self.b_pairs])
+
+    @property
+    def a_prime(self):
+        return _dense(self.n, self.a_pairs)
+
+    @property
+    def b_prime(self):
+        return _dense(self.n, self.b_pairs)
 
     def halfspace(self):
         return HalfSpace(self.a_prime, self.b_prime)
@@ -156,6 +166,9 @@ class FaceBox:
     box: dict
 
     def contains(self, h):
+        n = len(self.fixed) + len(self.box)
+        if len(h) != n:
+            raise DimensionError(f"face in dimension {n}, point has {len(h)}")
         lam = h[self.pivot]
         if not NEG_INF < lam < POS_INF:
             return False
@@ -182,28 +195,38 @@ class BestApproxSet:
         return any(f.contains(h) for f in self.faces)
 
 
+def _check_dim(H, x):
+    if H.n != len(x):
+        raise DimensionError(f"half-space in dimension {H.n}, point has {len(x)}")
+
+
 def contains(H, h):
-    if H.n != len(h):
-        raise DimensionError(f"half-space in dimension {H.n}, point has {len(h)}")
+    _check_dim(H, h)
     return row_apply(H.a, h) >= row_apply(H.b, h)
 
 
 def _form(H):
     """(kind, canonical form or None) of H, computed once and kept.
 
-    An Everything half-space keeps its form as well (a' = a, b' bottom):
-    with float and exact payloads mixed, a rounded sum can still put a
-    point outside it, and distance and best approximation then read a'.
+    One pass sorts each index to J (a_i < b_i) or, when a_i > -inf, to
+    I; the kind is read off |J|.  An Everything half-space keeps its
+    form as well (a' = a, b' bottom): with float and exact payloads
+    mixed, a rounded sum can still put a point outside it, and distance
+    and best approximation then read a'.
     """
     form = H._form
     if form is None:
-        if all(ai >= bi for ai, bi in zip(H.a, H.b)):
-            kind = Kind.EVERYTHING
-        elif all(ai < bi for ai, bi in zip(H.a, H.b)):
-            kind = Kind.BOTTOM_ONLY
-        else:
-            kind = Kind.PROPER
-        form = (kind, None if kind is Kind.BOTTOM_ONLY else _canonical(H))
+        a_pairs = []
+        b_pairs = []
+        for i, (ai, bi) in enumerate(zip(H.a.entries, H.b.entries)):
+            if ai < bi:
+                b_pairs.append((i, bi))
+            elif ai != NEG_INF:
+                a_pairs.append((i, ai))
+        kind = (Kind.EVERYTHING if not b_pairs else
+                Kind.BOTTOM_ONLY if len(b_pairs) == H.n else Kind.PROPER)
+        form = (kind, None if kind is Kind.BOTTOM_ONLY else
+                CanonicalHalfSpace(H.n, tuple(a_pairs), tuple(b_pairs)))
         H._form = form
     return form
 
@@ -219,23 +242,23 @@ def canonicalize(H):
     return C
 
 
-def _canonical(H):
-    """The disjoint-support coefficients of an H that is not BottomOnly."""
-    a_prime = []
-    b_prime = []
-    I, J = set(), set()
-    for i, (ai, bi) in enumerate(zip(H.a, H.b)):
-        if ai >= bi:
-            a_prime.append(ai)
-            b_prime.append(NEG_INF)
-            if ai != NEG_INF:
-                I.add(i)
-        else:
-            a_prime.append(NEG_INF)
-            b_prime.append(bi)
-            J.add(i)
-    return CanonicalHalfSpace(_vec(tuple(a_prime)), _vec(tuple(b_prime)),
-                              frozenset(I), frozenset(J))
+def _dense(n, pairs):
+    """The length-n vector with the pairs' coefficients, -inf elsewhere."""
+    out = [NEG_INF] * n
+    for i, c in pairs:
+        out[i] = c
+    return _vec(tuple(out))
+
+
+def _apply(pairs, xs):
+    """row_apply of the dense row, over its pairs alone: each c is
+    finite, so native + is the lower addition."""
+    t = NEG_INF
+    for i, c in pairs:
+        v = c + xs[i]
+        if v > t:
+            t = v
+    return t
 
 
 def apex_and_sectors(C):
@@ -245,10 +268,10 @@ def apex_and_sectors(C):
     coordinates.  The sector with pivot i in I is the half-space
     h_i - apex_i >= max over j /= i of (h_j - apex_j).
     """
-    merged = vec_oplus(C.a_prime, C.b_prime)
+    merged = _dense(C.n, C.a_pairs + C.b_pairs)  # I and J are disjoint
     apex = _vec(tuple([-e for e in merged]))
     sectors = []
-    for i in sorted(C.I):
+    for i, _ in C.a_pairs:
         a_row = [NEG_INF] * C.n
         a_row[i] = merged[i]
         b_row = list(merged)
@@ -264,11 +287,7 @@ def project_canonical(C, x):
     + and - are exact); x itself comes back when nothing moves.
     """
     xs = x.entries
-    t = NEG_INF
-    for i, a in C.a_pairs:
-        v = a + xs[i]
-        if v > t:
-            t = v
+    t = _apply(C.a_pairs, xs)
     out = None
     for j, b in C.b_pairs:
         v = t - b
@@ -281,8 +300,7 @@ def project_canonical(C, x):
 
 def project(H, x):
     """The greatest element of H below x."""
-    if H.n != len(x):
-        raise DimensionError(f"half-space in dimension {H.n}, point has {len(x)}")
+    _check_dim(H, x)
     kind, C = _form(H)
     if kind is Kind.EVERYTHING:
         return x
@@ -294,8 +312,7 @@ def project(H, x):
 def distance(H, x):
     """Projective distance from x to H: 0 for members with a finite
     entry, -inf for all-infinite members, (a'x)\\(bx) otherwise."""
-    if H.n != len(x):
-        raise DimensionError(f"half-space in dimension {H.n}, point has {len(x)}")
+    _check_dim(H, x)
     bx = row_apply(H.b, x)
     if row_apply(H.a, x) >= bx:  # contains(H, x), true when H is Everything
         return hilbert_distance(x, x)
@@ -303,22 +320,16 @@ def distance(H, x):
     if kind is Kind.BOTTOM_ONLY:
         # H = {bottom} and x is not bottom
         return POS_INF
-    return scalar_residual(row_apply(C.a_prime, x), bx)
-
-
-def _reject_pos_inf(x):
-    for e in x:
-        if e == POS_INF:
-            raise UnsupportedCaseError(
-                "best approximation handles points of (R u {-inf})^n only")
+    return scalar_residual(_apply(C.a_pairs, x.entries), bx)
 
 
 def _prepared(H, x):
     """Shared validation for the best-approximation operations: returns
     (canonical, a'x, b'x, distance) for x outside H at finite distance."""
-    if H.n != len(x):
-        raise DimensionError(f"half-space in dimension {H.n}, point has {len(x)}")
-    _reject_pos_inf(x)
+    _check_dim(H, x)
+    if POS_INF in x.entries:
+        raise UnsupportedCaseError(
+            "best approximation handles points of (R u {-inf})^n only")
     bx = row_apply(H.b, x)
     if row_apply(H.a, x) >= bx:  # contains(H, x), true when H is Everything
         raise PointInSetError("the point already lies in the half-space")
@@ -327,7 +338,7 @@ def _prepared(H, x):
         raise InfiniteDistanceError(
             "the half-space is the bottom vector alone; distance is +inf")
     # x is outside, so no index dropped from b attains bx: bx = b'x
-    ax = row_apply(C.a_prime, x)
+    ax = _apply(C.a_pairs, x.entries)
     d = scalar_residual(ax, bx)
     if d == POS_INF:
         raise InfiniteDistanceError(
@@ -368,16 +379,17 @@ def is_best_approx(H, x, h):
     C, ax, bx, _ = _prepared(H, x)
     if len(h) != len(x):
         raise DimensionError(f"points of lengths {len(x)} vs {len(h)}")
-    if POS_INF in h.entries:
+    hs = h.entries
+    if POS_INF in hs:
         return False
-    ah = row_apply(C.a_prime, h)
-    bh = row_apply(C.b_prime, h)
+    ah = _apply(C.a_pairs, hs)
+    bh = _apply(C.b_pairs, hs)
     if bh == NEG_INF or ah < bh:
         return False
     # ax, bx, bh finite, ah >= bh, no +inf: plain + is the lower addition
     lo_shift = ah - bx
     hi_shift = bh - ax
-    for xk, hk in zip(x, h):
+    for xk, hk in zip(x.entries, hs):
         if not xk + lo_shift <= hk <= xk + hi_shift:
             return False
     return True

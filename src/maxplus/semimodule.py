@@ -9,11 +9,13 @@ together with the bottom vector.  The canonical projection onto V,
 is the greatest element of V below u; u belongs to V iff the projection
 fixes it, and project(V, .) attains the distance from any point to V.
 
-Each generator keeps its support, the indices where it is above -inf,
-and a projection reads only those: it costs O(sum over g of |supp g|)
-and builds one output list and one tuple.  The residual g \\ u is the
-minimum over supp g of u_i - g_i in upper addition (the NaN of
-+inf - +inf is skipped).  Two values of it are not finite:
+A family is built as a TropicalMatrix whose rows are the generators,
+so it shares the matrix's validation, and each generator keeps its
+row support, the indices where it is above -inf.  A projection reads
+only those: it costs O(sum over g of |supp g|) and builds one output
+list and one tuple.  The residual g \\ u is the minimum over supp g
+of u_i - g_i in upper addition (the NaN of +inf - +inf is skipped).
+Two values of it are not finite:
 
   * -inf, when u is -inf somewhere on supp g or g is +inf where u is
     finite: the scaled generator is the bottom vector, which adds
@@ -41,17 +43,19 @@ exact, not an approximation.
 
 A semimodule keeps the last point it projected, keyed by the identity
 of the point's entries tuple, with its projection.  distance_to,
-membership and universal_halfspace on one point, and
-universal_halfspace on what reduce_problem returns, therefore run the
-generator loop once between them.  The key is held by a strong
-reference, and a tuple of numbers is immutable, so the same object
-means the same values and payload types; an equal point in another
-tuple ((1,) against (1.0,) or another (1,)) is projected afresh.  The
-cost is one point and one projection per semimodule, replaced by a
-single attribute store, so a concurrent reader sees the old pair or
-the new one.  Nothing invalidates the pair: vectors and semimodules
-are immutable, and no code assigns their attributes after construction
-(tropical_linalg._vec only fills a new vector).
+membership and universal_halfspace on one point therefore run the
+generator loop once between them, and reduce_problem leaves the
+projection of x' on the V' it returns, so distance_to and
+universal_halfspace on (V', x') run no loop of their own.  The key is
+held by a strong reference, and a tuple of numbers is immutable, so
+the same object means the same values and payload types; an equal
+point in another tuple ((1,) against (1.0,) or another (1,)) is
+projected afresh.  The cost is one point and one projection per
+semimodule, replaced by a single attribute store, so a concurrent
+reader sees the old pair or the new one.  Nothing invalidates the
+pair: vectors and semimodules are immutable, and no code assigns their
+attributes after construction (tropical_linalg._vec only fills a new
+vector).
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ from .extreal import _FLOAT_MAX, NEG_INF, POS_INF, _finite
 from .halfspace import HalfSpace
 from .hilbert_metric import hilbert_distance, part_of, restrict
 from .tropical_linalg import (TropicalMatrix, TropicalVector, _vec,
-                              format_matrix, parse_matrix)
+                              format_rows, parse_matrix)
 
 
 class GeneratedSemimodule:
@@ -75,23 +79,8 @@ class GeneratedSemimodule:
     __slots__ = ("generators", "n", "_support", "_last")
 
     def __init__(self, generators, n=None):
-        self.generators = tuple(g if isinstance(g, TropicalVector)
-                                else TropicalVector(g) for g in generators)
-        if self.generators:
-            widths = {len(g) for g in self.generators}
-            if len(widths) != 1:
-                raise DimensionError(f"ragged generators: lengths {sorted(widths)}")
-            inferred = widths.pop()
-            if n is not None and n != inferred:
-                raise DimensionError(f"n {n} but generators have length {inferred}")
-            self.n = inferred
-        else:
-            if n is None:
-                raise DimensionError("empty family needs an explicit dimension")
-            self.n = n
-        self._support = tuple([tuple([i for i, e in enumerate(g.entries)
-                                      if e != NEG_INF])
-                               for g in self.generators])
+        M = TropicalMatrix(generators, ncols=n)
+        self.generators, self.n, self._support = M.rows, M.ncols, M._support
         self._last = (None, None)
 
     def __eq__(self, other):
@@ -184,11 +173,7 @@ def universal_halfspace(V, x):
     reduce_problem first when x itself has -inf entries.
     """
     _check_dim(V, x)
-    return _separating_halfspace(x, project(V, x))
-
-
-def _separating_halfspace(x, P):
-    """universal_halfspace built from x and its projection P."""
+    P = project(V, x)
     if P == x:
         raise PointInSetError("the point belongs to the semimodule")
     bad = [i for i, e in enumerate(P) if not NEG_INF < e < POS_INF]
@@ -224,17 +209,14 @@ def reduce_problem(V, x):
     generators that are -inf outside I and nowhere +inf (the others
     are scaled to bottom in any element at finite distance from x).
     Distances and best approximations correspond exactly; a solution
-    v' lifts back via lift_point(v', I, n).
+    v' lifts back via lift_point(v', I, n).  V' keeps the projection
+    of x' that the infinite-distance check computes, so distance_to
+    and universal_halfspace on (V', x') reuse it.
 
     Raises an infinite-distance error when no element of V has the
     support of x, and an unsupported-case error when x has a +inf
     entry or no finite one.
     """
-    return _reduce(V, x)[:3]
-
-
-def _reduce(V, x):
-    """reduce_problem, plus the projection of x' onto V' it computes."""
     _check_dim(V, x)
     part = part_of(x)
     if part.sigma_pos:
@@ -246,18 +228,21 @@ def _reduce(V, x):
             if part.supp.issuperset(support) and POS_INF not in g.entries]
     x_prime = restrict(x, I)
     V_prime = GeneratedSemimodule(kept, n=len(I))
-    P_prime = project(V_prime, x_prime)
-    if NEG_INF in P_prime.entries:
+    if NEG_INF in project(V_prime, x_prime).entries:
         raise InfiniteDistanceError(
             "no element of the semimodule has the support of x")
-    return x_prime, V_prime, I, P_prime
+    return x_prime, V_prime, I
 
 
 def lift_point(v, I, n):
     """Undo a restriction: place the entries of v at the indices I
     (ascending) and -inf elsewhere."""
+    if len(v) != len(I):
+        raise DimensionError(f"{len(v)} entries for {len(I)} indices")
     out = [NEG_INF] * n
     for e, i in zip(v, I):
+        if not 0 <= i < n:
+            raise DimensionError(f"index {i} out of range for length {n}")
         out[i] = e
     return TropicalVector(out)
 
@@ -271,4 +256,4 @@ def parse_generators(text, mode=None):
 
 
 def format_generators(V):
-    return format_matrix(TropicalMatrix(V.generators, ncols=V.n))
+    return format_rows((len(V.generators), V.n), V.generators)

@@ -230,9 +230,9 @@ def _row_additions(C, x):
     """Finite additions of project_canonical(C, x): a'_i + x_i for each
     finite x_i on I, then t - b'_j over J when t = a'x is finite."""
     xs = x.entries
-    k = sum([NEG_INF < xs[i] < POS_INF for i in C.I])
-    if k and all([xs[i] != POS_INF for i in C.I]):
-        return k + len(C.J)
+    k = sum([NEG_INF < xs[i] < POS_INF for i, _ in C.a_pairs])
+    if k and all([xs[i] != POS_INF for i, _ in C.a_pairs]):
+        return k + len(C.b_pairs)
     return k
 
 

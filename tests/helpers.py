@@ -301,6 +301,32 @@ def reference_reduce(V, x):
     return x_prime, kept, I
 
 
+def reference_classify(H):
+    """The kind by two entrywise scans, Everything tested first."""
+    if all(ai >= bi for ai, bi in zip(H.a, H.b)):
+        return mp.Kind.EVERYTHING
+    if all(ai < bi for ai, bi in zip(H.a, H.b)):
+        return mp.Kind.BOTTOM_ONLY
+    return mp.Kind.PROPER
+
+
+def reference_canonical(H):
+    """(a', b', I, J) of an H that is not BottomOnly, built densely:
+    a_i kept where a_i >= b_i, b_j kept where a_j < b_j."""
+    a_prime, b_prime, I, J = [], [], set(), set()
+    for i, (ai, bi) in enumerate(zip(H.a, H.b)):
+        if ai >= bi:
+            a_prime.append(ai)
+            b_prime.append(NEG)
+            if ai != NEG:
+                I.add(i)
+        else:
+            a_prime.append(NEG)
+            b_prime.append(bi)
+            J.add(i)
+    return mp.vector(a_prime), mp.vector(b_prime), frozenset(I), frozenset(J)
+
+
 def reference_best_approx_set(H, x):
     """best_approx_set with both argmax sets found by a lower-addition
     scan over all n indices."""

@@ -182,20 +182,22 @@ def test_compare_sweeps_at_most_twice_solve(files, capsys, monkeypatch):
 
 
 def test_separate_projects_once(files, capsys, monkeypatch):
-    calls = counting(monkeypatch, semimodule, "project")
+    # one generator loop calls _residual once per generator
+    calls = counting(monkeypatch, semimodule, "_residual")
     g = files("V.txt", mp.format_generators(EVAX_GENS))
     x = files("x.txt", "3\n2 1 0\n")
     rc, out, _ = run(capsys, ["separate", "--generators", g, "--point", x,
                               "--output", "json"])
     assert rc == 0 and json.loads(out)["reduced"] is False
-    assert calls[0] == 1
+    assert calls[0] == len(EVAX_GENS.generators)
     calls[0] = 0
+    # one loop over both generators of V, one over the one kept in V'
     g = files("V2.txt", "2 3\n0 0 0\n0 -inf -1\n")
     x = files("x2.txt", "3\n3 -inf 1\n")
     rc, out, _ = run(capsys, ["separate", "--generators", g, "--point", x,
                               "--output", "json"])
     assert rc == 0 and json.loads(out)["reduced"] is True
-    assert calls[0] <= 2
+    assert calls[0] == 2 + 1
 
 
 def test_canonicalize_json(files, capsys):

@@ -9,14 +9,15 @@ from hypothesis import strategies as st
 
 import maxplus as mp
 from maxplus import halfspace
-from maxplus.errors import (ClassificationError, InfiniteDistanceError,
-                            MaxplusError, PointInSetError,
-                            UnsupportedCaseError)
+from maxplus.errors import (ClassificationError, DimensionError,
+                            InfiniteDistanceError, MaxplusError,
+                            PointInSetError, UnsupportedCaseError)
 from maxplus.halfspace import Kind
 from oracle import GridSpec, grid_min_distance, grid_projection, grid_vectors
 from helpers import (DISJ_H, DISJ_X, NEG, POS, RULTER_H, SUBFACE_H, SUBFACE_X,
                      finite, rand_halfspace, rand_payload, rand_vector,
-                     reference_best_approx_set, typed, v)
+                     reference_best_approx_set, reference_canonical,
+                     reference_classify, typed, v)
 
 def test_contains():
     assert mp.contains(RULTER_H, v(1, 1, 0))
@@ -62,6 +63,50 @@ def test_canonicalize_known_values():
 
     C = mp.canonicalize(mp.HalfSpace([0, 0], [1, NEG]))
     assert C.a_prime == v(NEG, 0) and C.b_prime == v(1, NEG)
+
+
+def _check_form(H):
+    kind = mp.classify(H)
+    assert kind is reference_classify(H)
+    # an Everything half-space keeps its form too, a BottomOnly one none
+    C = halfspace._form(H)[1]
+    if kind is Kind.PROPER:
+        assert mp.canonicalize(H) is C
+    else:
+        with pytest.raises(ClassificationError):
+            mp.canonicalize(H)
+    if kind is Kind.BOTTOM_ONLY:
+        assert C is None
+        return kind
+    a_prime, b_prime, I, J = reference_canonical(H)
+    assert typed(C.a_prime) == typed(a_prime)
+    assert typed(C.b_prime) == typed(b_prime)
+    assert C.I == I and C.J == J and C.n == H.n
+    assert typed(C.a_pairs) == typed([(i, a_prime[i]) for i in sorted(I)])
+    assert typed(C.b_pairs) == typed([(j, b_prime[j]) for j in sorted(J)])
+    return kind
+
+
+def test_one_pass_form_matches_two_scan_reference_seeded():
+    rng = random.Random(1010)
+    kinds = {k: 0 for k in Kind}
+    for t in range(3600):
+        n = rng.randint(0, 6)
+        shape = t % 4
+        if shape == 0:  # all -inf: Everything
+            a, b = [NEG] * n, [NEG] * n
+        elif shape == 1:  # a above b everywhere: Everything
+            b = [rand_payload(rng, 0.3, 0) for _ in range(n)]
+            a = [e if e == NEG else e + rng.randint(0, 2) for e in b]
+        elif shape == 2:  # a below a finite b everywhere: BottomOnly
+            a = [rand_payload(rng, 0.3, 0) for _ in range(n)]
+            b = [rng.randint(-6, 6) if e == NEG else e + rng.choice((1, 0.5))
+                 for e in a]
+        else:
+            a = [rand_payload(rng, 0.3, 0) for _ in range(n)]
+            b = [rand_payload(rng, 0.3, 0) for _ in range(n)]
+        kinds[_check_form(mp.HalfSpace(a, b))] += 1
+    assert min(kinds.values()) > 300
 
 
 def test_canonicalize_preserves_the_set_on_a_grid():
@@ -231,6 +276,19 @@ def test_best_approx_errors():
         mp.best_approx_set(RULTER_H, v(POS, 0, 0))
 
 
+def test_face_membership_checks_the_dimension():
+    H = mp.HalfSpace([0, NEG, 0], [NEG, 0, NEG])
+    best = mp.best_approx_set(H, v(0, 1, 0))
+    P = mp.project(H, v(0, 1, 0))
+    assert best.contains(P)
+    for h in (v(*P, 0), v(*P.entries[:2])):
+        with pytest.raises(DimensionError):
+            best.contains(h)
+        for face in best.faces:
+            with pytest.raises(DimensionError):
+                face.contains(h)
+
+
 def test_is_best_approx_examples():
     assert mp.is_best_approx(DISJ_H, DISJ_X, v(0, 0, 0))
     assert mp.is_best_approx(DISJ_H, DISJ_X, v(0.0, 0.0, -0.5))
@@ -365,12 +423,12 @@ def test_best_approx_faces_match_full_scan(case):
 
 def test_canonical_form_computed_once(monkeypatch):
     calls = [0]
-    inner = halfspace._canonical
+    inner = halfspace.CanonicalHalfSpace
 
-    def counted(H):
+    def counted(*args):
         calls[0] += 1
-        return inner(H)
-    monkeypatch.setattr(halfspace, "_canonical", counted)
+        return inner(*args)
+    monkeypatch.setattr(halfspace, "CanonicalHalfSpace", counted)
     H = mp.HalfSpace(DISJ_H.a, DISJ_H.b)
     x = v(*DISJ_X)
     P = mp.project(H, x)

@@ -237,6 +237,14 @@ def test_reduce_problem_preserves_distance_and_projection():
 def test_lift_point():
     assert mp.lift_point(v(3, 1), (0, 2), 3) == v(3, NEG, 1)
     assert mp.lift_point(v(5), (1,), 2) == v(NEG, 5)
+    assert mp.lift_point(v(), (), 2) == v(NEG, NEG)
+
+
+def test_lift_point_rejects_mismatched_indices():
+    for entries, I, n in (((1, 2, 3), (0, 2), 3), ((1,), (0, 2), 3),
+                          ((1, 2), (0, 5), 3), ((1,), (-1,), 3)):
+        with pytest.raises(DimensionError):
+            mp.lift_point(v(*entries), I, n)
 
 
 def test_generator_text_round_trip():
