@@ -72,6 +72,8 @@ from .tropical_linalg import (TropicalMatrix, TropicalVector, _vec,
 class GeneratedSemimodule:
     """An immutable generating family; possibly empty (spanning just
     the bottom vector), in which case the dimension must be given.
+    generators may be a TropicalMatrix, whose rows and supports are
+    then taken as they are.
 
     _last holds the last point projected onto it, keyed by its entries
     tuple, and that projection (see project)."""
@@ -79,7 +81,12 @@ class GeneratedSemimodule:
     __slots__ = ("generators", "n", "_support", "_last")
 
     def __init__(self, generators, n=None):
-        M = TropicalMatrix(generators, ncols=n)
+        if isinstance(generators, TropicalMatrix):
+            M = generators
+            if n is not None and n != M.ncols:
+                raise DimensionError(f"n {n} but the matrix has {M.ncols} columns")
+        else:
+            M = TropicalMatrix(generators, ncols=n)
         self.generators, self.n, self._support = M.rows, M.ncols, M._support
         self._last = (None, None)
 
@@ -251,8 +258,7 @@ def lift_point(v, I, n):
 
 def parse_generators(text, mode=None):
     """Parse the "q n" + rows format into a generating family."""
-    M = parse_matrix(text, mode)
-    return GeneratedSemimodule(M.rows, n=M.ncols)
+    return GeneratedSemimodule(parse_matrix(text, mode))
 
 
 def format_generators(V):

@@ -13,7 +13,7 @@ import maxplus as mp
 from maxplus.errors import (InfiniteDistanceError, ParseError,
                             UnsupportedCaseError)
 from maxplus.extreal import parse_scalar
-from maxplus.halfspace import _prepared
+from maxplus.halfspace import Kind, _prepared, project_canonical
 
 NEG = mp.NEG_INF
 POS = mp.POS_INF
@@ -417,3 +417,61 @@ def reference_universal_halfspace(V, x):
     a = [-xj if xj == pj else NEG for xj, pj in zip(x, P)]
     b = [NEG if xj == pj else -pj for xj, pj in zip(x, P)]
     return mp.HalfSpace(a, b)
+
+
+# --- the solver steps as they ran before systems were compiled -------------
+
+def reference_sweep(S):
+    """The cyclic step row by row: a HalfSpace per row, classified and
+    canonicalized, then project_canonical in a round-robin; Everything
+    rows are dropped, and a BottomOnly row gives None (bottom at once).
+    Plugs into solvers._solve as its make_step."""
+    rows = []
+    for a, b in zip(S.A.rows, S.B.rows):
+        H = mp.HalfSpace(a, b)
+        kind = mp.classify(H)
+        if kind is Kind.BOTTOM_ONLY:
+            return None
+        if kind is not Kind.EVERYTHING:
+            rows.append(mp.canonicalize(H))
+
+    def sweep(x, points, counting):
+        count = 0
+        for C in rows:
+            if counting:
+                xs = x.entries
+                k = sum(finite(xs[i]) for i, _ in C.a_pairs)
+                if k and all(xs[i] != POS for i, _ in C.a_pairs):
+                    k += len(C.b_pairs)
+                count += k
+            nxt = project_canonical(C, x)
+            if points is not None and nxt is not x:
+                points.append(nxt)
+            x = nxt
+        return x, count
+    return sweep
+
+
+def reference_power_step(S):
+    """The power step through the three public kernels,
+    vec_meet(residuated_apply(B, mat_apply(A, x)), x)."""
+    def step(x, points, counting):
+        y = mp.mat_apply(S.A, x)
+        nxt = mp.vec_meet(mp.residuated_apply(S.B, y), x)
+        if not counting:
+            return nxt, None
+        count = 0
+        for a, b, yj in zip(S.A.rows, S.B.rows, y):
+            count += sum(finite(ai) and finite(xi) for ai, xi in zip(a, x))
+            if finite(yj):
+                count += sum(finite(bi) for bi in b)
+        return nxt, count
+    return step
+
+
+def typed_report(r):
+    """Every field of a SolveReport, payload types included."""
+    t = r.trace
+    return (r.status, typed(r.solution), r.iterations,
+            typed([r.distance_bound_used]), r.finite_additions, r.pinned,
+            None if t is None else (t.step_kind, typed(t.points), t.ends))

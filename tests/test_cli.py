@@ -152,33 +152,59 @@ def counting(monkeypatch, module, name):
     return calls
 
 
+def counting_steps(monkeypatch, make):
+    """Count the calls _cyclic_run makes of the step functions that
+    solvers.make builds: sweeps for _sweep, power steps for _power_step."""
+    calls = [0]
+    inner = getattr(solvers, make)
+
+    def wrapper(S):
+        step = inner(S)
+        if step is None:
+            return None
+
+        def counted(*args):
+            calls[0] += 1
+            return step(*args)
+        return counted
+    monkeypatch.setattr(solvers, make, wrapper)
+    return calls
+
+
 def test_compare_sweeps_at_most_twice_solve(files, capsys, monkeypatch):
     S, u, _ = planted_system_sized(random.Random(97), 20, 20)
     a, b, u = system_files(files, S, u)
-    calls = counting(monkeypatch, solvers, "project_canonical")
-    steps = counting(monkeypatch, solvers, "mat_apply")
+    sweeps = counting_steps(monkeypatch, "_sweep")
+    steps = counting_steps(monkeypatch, "_power_step")
+    compiles = counting(monkeypatch, solvers, "_compile")
     argv = ["--a", a, "--b", b, "--init", u, "--output", "json"]
     assert run(capsys, ["solve", "--method", "both"] + argv)[0] == 0
-    solve_calls, calls[0] = calls[0], 0
+    solve_sweeps, sweeps[0] = sweeps[0], 0
     assert steps[0] == 4
     steps[0] = 0
+    # each call parses its own system and compiles its rows once
+    assert compiles[0] == 1
+    compiles[0] = 0
     # the sandwich check reads the two runs compare reports, and solves
     # nothing again
     assert run(capsys, ["compare"] + argv)[0] == 0
-    assert solve_calls > 0
-    assert calls[0] == solve_calls
+    assert solve_sweeps > 0
+    assert sweeps[0] == solve_sweeps
     assert steps[0] == 4
+    assert compiles[0] == 1
     # --max-iters bounds the sandwich check too; a capped run fails it
     a, b, u = system_files(files, chase_system(), v(500, 500, 0))
     argv = ["--a", a, "--b", b, "--init", u, "--max-iters", "2", "--output", "json"]
-    calls[0] = 0
+    sweeps[0] = steps[0] = 0
     assert run(capsys, ["solve", "--method", "both"] + argv)[0] == 1
-    solve_calls, calls[0] = calls[0], 0
+    solve_sweeps, sweeps[0] = sweeps[0], 0
+    solve_steps, steps[0] = steps[0], 0
     rc, out, _ = run(capsys, ["compare"] + argv)
     got = json.loads(out)
     assert rc == 1 and got["cyclic"]["status"] == got["power"]["status"] == "IterationCapHit"
     assert got["sandwich"] is False
-    assert 0 < calls[0] == solve_calls
+    assert 0 < sweeps[0] == solve_sweeps
+    assert 0 < steps[0] == solve_steps
 
 
 def test_separate_projects_once(files, capsys, monkeypatch):

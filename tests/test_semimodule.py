@@ -258,6 +258,28 @@ def test_generator_text_round_trip():
         assert (W.generators, W.n) == (V.generators, V.n)
 
 
+def test_parsed_generators_build_one_matrix(monkeypatch):
+    # the parsed matrix is the family: its rows and supports are taken
+    # as they are, not checked and computed a second time
+    built = [0]
+    inner = mp.TropicalMatrix.__init__
+
+    def counted(self, *args, **kwargs):
+        built[0] += 1
+        inner(self, *args, **kwargs)
+    monkeypatch.setattr(mp.TropicalMatrix, "__init__", counted)
+    W = mp.parse_generators(mp.format_generators(EVAX_GENS))
+    assert built[0] == 1
+    assert (W.generators, W.n, W._support) == (
+        EVAX_GENS.generators, 3, EVAX_GENS._support)
+    M = mp.matrix([[0, NEG], [NEG, 1]])
+    V = mp.GeneratedSemimodule(M, n=2)
+    assert V.generators is M.rows and V._support is M._support
+    assert mp.GeneratedSemimodule(mp.matrix([], ncols=3)).n == 3
+    with pytest.raises(DimensionError):
+        mp.GeneratedSemimodule(M, n=3)
+
+
 scalars = st.one_of(st.just(NEG), st.just(POS),
                     st.integers(min_value=-9, max_value=9))
 

@@ -4,16 +4,19 @@ sandwich comparison and the divergence-guarded feasibility wrapper."""
 
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
 import maxplus as mp
+from maxplus import solvers
 from maxplus.errors import DimensionError, MaxplusError, UnsupportedCaseError
 from maxplus.solvers import Status, default_divergence_cap
 from helpers import (NEG, POS, RING_CYCLIC_STEPS, RING_LIMIT,
                      RING_POWER_STEPS, chain_system, chase_system,
                      dense_system, finite, planted_system,
-                     reference_greatest_solution, ring_ineq_system, v)
+                     reference_greatest_solution, reference_power_step,
+                     reference_sweep, ring_ineq_system, typed_report, v)
 
 U6 = v(0, 0, 0, 0, 0, 0)
 
@@ -423,3 +426,74 @@ def test_operation_count_scaling():
     c48, p48 = counts[48]
     assert c48 / c6 < 12
     assert p48 / p6 > 40
+
+
+def test_system_compiles_once(monkeypatch):
+    # the rows are compiled on the first cyclic_solve or feasibility and
+    # kept; power_solve reads the matrices and compiles nothing
+    calls = [0]
+    compile_rows = solvers._compile
+
+    def counted(S):
+        calls[0] += 1
+        return compile_rows(S)
+    monkeypatch.setattr(solvers, "_compile", counted)
+    S, u, _ = planted_system(random.Random(5))
+    assert S._compiled is None
+    mp.power_solve(S, u, keep_trace=True)
+    assert calls[0] == 0 and S._compiled is None
+    mp.cyclic_solve(S, u)
+    mp.cyclic_solve(S, u, keep_trace=True)
+    mp.feasibility(S, u)
+    assert calls[0] == 1
+    # a BottomOnly row is compiled once as well and annihilates each run
+    S = mp.InequalitySystem(mp.matrix([[0, NEG], [NEG, 0]]),
+                            mp.matrix([[NEG, NEG], [1, 1]]))
+    assert mp.cyclic_solve(S, v(3, 4)).status is Status.BOTTOM_REACHED
+    assert mp.feasibility(S, v(3, 4)).status == "OnlyBottom"
+    assert calls[0] == 2 and S._compiled == ((), True)
+
+
+def solver_entry(rng, kind, p_neg_inf):
+    """-inf, or a small payload of the kind: int, Fraction, float, or
+    any of the three (mixed), so that equal values of two types tie."""
+    if rng.random() < p_neg_inf:
+        return NEG
+    k = rng.randint(-6, 6)
+    if kind == "mixed":
+        kind = rng.choice(("int", "Fraction", "float"))
+    if kind == "int":
+        return k
+    if kind == "Fraction":
+        return mp.scalar(Fraction(k, rng.choice((1, 2, 3))))
+    return k / 2
+
+
+def test_compiled_steps_match_the_reference_kernels():
+    # whole reports against the row-by-row HalfSpace path and the
+    # three-kernel power step they replace: statuses, limits, counts,
+    # pinned coordinates and every traced iterate, payload types included
+    rng = random.Random(12)
+    seen = set()
+    for case in range(400):
+        n, p = rng.randint(1, 6), rng.randint(0, 6)
+        kind = rng.choice(("int", "Fraction", "float", "mixed"))
+        p_neg = rng.choice((0.1, 0.3, 0.5))
+        A, B = ([[solver_entry(rng, kind, p_neg) for _ in range(n)] for _ in range(p)]
+                for _ in "AB")
+        S = mp.InequalitySystem(mp.matrix(A, ncols=n), mp.matrix(B, ncols=n))
+        start_neg = rng.choice((0.0, 0.0, 0.3))
+        u = mp.vector([solver_entry(rng, kind, start_neg) for _ in range(n)])
+        tol = rng.choice((None, None, 0.5, 2.0))
+        max_iters = rng.choice((3, 40, 400))
+        for name, make_step, keep_last, step_kind in (
+                ("cyclic_solve", reference_sweep, True, "cyclic"),
+                ("power_solve", reference_power_step, False, "power")):
+            for keep_trace in (False, True):
+                got = getattr(mp, name)(S, u, max_iters=max_iters, tol=tol,
+                                        keep_trace=keep_trace)
+                want = solvers._solve(S, u, make_step, keep_last, step_kind,
+                                      max_iters, tol, keep_trace)
+                assert typed_report(got) == typed_report(want), (case, name, keep_trace)
+                seen.add((got.status, bool(got.pinned)))
+    assert len(seen) >= 4
