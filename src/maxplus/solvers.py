@@ -7,16 +7,9 @@ canonical projection P_V(u).
 
 One guarded loop runs both solvers, and they differ only in its step.
 The cyclic step is one sweep: the p row projections onto H_1, ..., H_p
-in a fixed round-robin through the canonical projection formula of
-halfspace.project_canonical,
-
-    x_j <- min(x_j, a'x - b'_j)  for j in J,   a'x = max over I of a_i + x_i,
-
-each O(|I| + |J|) for the row's support.  A sweep copies the iterate
-into one list and projects every row into it in place; it builds one
-new vector at its end if some row moved a coordinate, and otherwise
-returns the iterate itself.  A traced sweep also keeps a snapshot
-after each row that moved.  The power step moves the whole system at
+in a fixed round-robin through the canonical projection formula, each
+O(|I| + |J|) for the row's support plus an O(n) copy of the iterate
+when it moves a coordinate.  The power step moves the whole system at
 once:
 
     eta_next = B#(A eta) /\\ eta,
@@ -25,28 +18,11 @@ where B# is the residuated action of B (greatest preimage); its fixed
 points are exactly the solutions of B x <= A x.  A column of B with no
 finite entry contributes +inf to B# and is absorbed by the meet, so it
 simply never constrains the iterate; no column condition is imposed.
-The step is one pass over the rows: y_j = A_j eta over the support A
-keeps of row j, folded at once into the running minima of B# over the
-support of B_j, then the meet with eta.  It makes the choices of the
-three kernels it replaces (mat_apply, residuated_apply, vec_meet), so
-payload types come out the same: y_j is the first maximum in support
-order, each residual the first minimum in row order, and the meet
-keeps the residual where it ties with eta_i.
-
-The rows a sweep reads are compiled once per system, on the first
-cyclic_solve or feasibility (so once per compare), and kept in
-InequalitySystem._compiled: for each Proper row its A and B entries
-tuples and the index tuples I and J of its canonical supports, from
-the one pass of the half-space canonical form (a_i < b_i puts i in J,
-otherwise a_i > -inf puts it in I); Everything rows are dropped, and a
-flag records whether some row is BottomOnly, which sends every sweep
-to bottom.  Coefficients are read from the matrices' own row tuples,
-so the kept form costs only the index tuples, O(p n) small ints per
-system.  The power step keeps nothing: it reads the supports the
-matrices already hold.  The form is kept by a single attribute store,
-so a concurrent reader sees none or all of it, and nothing invalidates
-it: systems and their matrices are immutable, and no code assigns
-their attributes after construction.
+The step is one pass over the row supports the matrices hold, with the
+tie rules of mat_apply, residuated_apply and vec_meet, so payload
+types (int, Fraction, float) come out as theirs would: A_j eta is the
+first maximum in support order, each B# entry the first minimum in row
+order, and the meet keeps the B# entry where it ties with eta_i.
 
 Both produce entrywise non-increasing iterates converging to P_V(u),
 and for every k the sandwich P_V(u) <= xi^{pk} <= eta^k holds, sweeps
@@ -92,7 +68,8 @@ from dataclasses import dataclass
 
 from .errors import DimensionError, MaxplusError, UnsupportedCaseError
 from .extreal import NEG_INF, POS_INF
-from .halfspace import _check_coefficients
+from .halfspace import (HalfSpace, Kind, _check_coefficients, canonicalize,
+                        classify, project_canonical)
 from .hilbert_metric import hilbert_distance
 from .tropical_linalg import TropicalMatrix, TropicalVector, _vec, leq
 
@@ -107,10 +84,9 @@ class Status(enum.Enum):
 
 class InequalitySystem:
     """The p inequalities A_j x >= B_j x, shapes equal, p = 0 allowed;
-    like the row half-spaces, A and B have no +inf entries.  _compiled
-    holds the rows the cyclic step reads, built on first use (_compile)."""
+    like the row half-spaces, A and B have no +inf entries."""
 
-    __slots__ = ("A", "B", "_compiled")
+    __slots__ = ("A", "B")
 
     def __init__(self, A, B):
         if not isinstance(A, TropicalMatrix) or not isinstance(B, TropicalMatrix):
@@ -123,7 +99,6 @@ class InequalitySystem:
             _check_coefficients(b, "right")
         self.A = A
         self.B = B
-        self._compiled = None
 
     @property
     def p(self):
@@ -252,12 +227,13 @@ def _report(u, status, x, iterations, additions, trace, pinned):
                        tuple(sorted(pinned)))
 
 
-def _row_additions(I, J, xs):
-    """Finite additions of one row projection at xs: a'_i + x_i for each
+def _row_additions(C, x):
+    """Finite additions of project_canonical(C, x): a'_i + x_i for each
     finite x_i on I, then t - b'_j over J when t = a'x is finite."""
-    k = sum([NEG_INF < xs[i] < POS_INF for i in I])
-    if k and all([xs[i] != POS_INF for i in I]):
-        return k + len(J)
+    xs = x.entries
+    k = sum([NEG_INF < xs[i] < POS_INF for i, _ in C.a_pairs])
+    if k and all([xs[i] != POS_INF for i, _ in C.a_pairs]):
+        return k + len(C.b_pairs)
     return k
 
 
@@ -278,71 +254,28 @@ def _check_start(S, u):
         raise DimensionError(f"system in dimension {S.n}, start has {len(u)}")
 
 
-def _compile(S):
-    """(rows, bottom_only) of S, computed once and kept in S._compiled.
-
-    rows holds (a, b, I, J) per Proper row: its A and B entries tuples
-    and the indices of its canonical supports, from halfspace._form's
-    one pass (a_i < b_i puts i in J, else a_i > -inf puts it in I).
-    Everything rows (J empty) are dropped; bottom_only tells whether
-    some row is BottomOnly (J all of range(n))."""
+def _sweep(S):
+    """The cyclic step: one sweep of the rows, each classified and
+    canonicalized once here (Everything rows project to the identity
+    and are dropped); None when a BottomOnly row annihilates."""
     rows = []
     for a, b in zip(S.A.rows, S.B.rows):
-        a, b = a.entries, b.entries
-        I = []
-        J = []
-        for i, (ai, bi) in enumerate(zip(a, b)):
-            if ai < bi:
-                J.append(i)
-            elif ai != NEG_INF:
-                I.append(i)
-        if not J:
-            continue
-        if len(J) == S.n:
-            compiled = ((), True)
-            break
-        rows.append((a, b, tuple(I), tuple(J)))
-    else:
-        compiled = (tuple(rows), False)
-    S._compiled = compiled
-    return compiled
+        H = HalfSpace(a, b)
+        kind = classify(H)
+        if kind is Kind.BOTTOM_ONLY:
+            return None
+        if kind is not Kind.EVERYTHING:
+            rows.append(canonicalize(H))
 
-
-def _sweep(S):
-    """The cyclic step: one sweep of the compiled rows, projected in
-    place into one list; None when a BottomOnly row annihilates."""
-    compiled = S._compiled
-    rows, bottom_only = _compile(S) if compiled is None else compiled
-    if bottom_only:
-        return None
-
-    # I and J index finite coefficients only, so native + and - are the
-    # lower and upper additions
     def sweep(x, points, counting):
-        xs = list(x.entries)
         count = 0
-        moved = False
-        for a, b, I, J in rows:
+        for C in rows:
             if counting:
-                count += _row_additions(I, J, xs)
-            t = NEG_INF
-            for i in I:
-                v = a[i] + xs[i]
-                if v > t:
-                    t = v
-            hit = False
-            for j in J:
-                v = t - b[j]
-                if v < xs[j]:
-                    xs[j] = v
-                    hit = True
-            if hit:
-                moved = True
-                if points is not None:
-                    x = _vec(tuple(xs))
-                    points.append(x)
-        if moved and points is None:
-            x = _vec(tuple(xs))
+                count += _row_additions(C, x)
+            nxt = project_canonical(C, x)
+            if points is not None and nxt is not x:
+                points.append(nxt)
+            x = nxt
         return x, count
     return sweep
 

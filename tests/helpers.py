@@ -13,7 +13,7 @@ import maxplus as mp
 from maxplus.errors import (InfiniteDistanceError, ParseError,
                             UnsupportedCaseError)
 from maxplus.extreal import parse_scalar
-from maxplus.halfspace import Kind, _prepared, project_canonical
+from maxplus.halfspace import _prepared
 
 NEG = mp.NEG_INF
 POS = mp.POS_INF
@@ -419,38 +419,7 @@ def reference_universal_halfspace(V, x):
     return mp.HalfSpace(a, b)
 
 
-# --- the solver steps as they ran before systems were compiled -------------
-
-def reference_sweep(S):
-    """The cyclic step row by row: a HalfSpace per row, classified and
-    canonicalized, then project_canonical in a round-robin; Everything
-    rows are dropped, and a BottomOnly row gives None (bottom at once).
-    Plugs into solvers._solve as its make_step."""
-    rows = []
-    for a, b in zip(S.A.rows, S.B.rows):
-        H = mp.HalfSpace(a, b)
-        kind = mp.classify(H)
-        if kind is Kind.BOTTOM_ONLY:
-            return None
-        if kind is not Kind.EVERYTHING:
-            rows.append(mp.canonicalize(H))
-
-    def sweep(x, points, counting):
-        count = 0
-        for C in rows:
-            if counting:
-                xs = x.entries
-                k = sum(finite(xs[i]) for i, _ in C.a_pairs)
-                if k and all(xs[i] != POS for i, _ in C.a_pairs):
-                    k += len(C.b_pairs)
-                count += k
-            nxt = project_canonical(C, x)
-            if points is not None and nxt is not x:
-                points.append(nxt)
-            x = nxt
-        return x, count
-    return sweep
-
+# --- the power step through the three public kernels ----------------------
 
 def reference_power_step(S):
     """The power step through the three public kernels,

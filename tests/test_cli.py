@@ -152,58 +152,51 @@ def counting(monkeypatch, module, name):
     return calls
 
 
-def counting_steps(monkeypatch, make):
-    """Count the calls _cyclic_run makes of the step functions that
-    solvers.make builds: sweeps for _sweep, power steps for _power_step."""
+def counting_power_steps(monkeypatch):
+    """Count the power steps _cyclic_run takes: the calls of each step
+    function solvers._power_step builds."""
     calls = [0]
-    inner = getattr(solvers, make)
+    make = solvers._power_step
 
     def wrapper(S):
-        step = inner(S)
-        if step is None:
-            return None
+        step = make(S)
 
         def counted(*args):
             calls[0] += 1
             return step(*args)
         return counted
-    monkeypatch.setattr(solvers, make, wrapper)
+    monkeypatch.setattr(solvers, "_power_step", wrapper)
     return calls
 
 
 def test_compare_sweeps_at_most_twice_solve(files, capsys, monkeypatch):
     S, u, _ = planted_system_sized(random.Random(97), 20, 20)
     a, b, u = system_files(files, S, u)
-    sweeps = counting_steps(monkeypatch, "_sweep")
-    steps = counting_steps(monkeypatch, "_power_step")
-    compiles = counting(monkeypatch, solvers, "_compile")
+    calls = counting(monkeypatch, solvers, "project_canonical")
+    steps = counting_power_steps(monkeypatch)
     argv = ["--a", a, "--b", b, "--init", u, "--output", "json"]
     assert run(capsys, ["solve", "--method", "both"] + argv)[0] == 0
-    solve_sweeps, sweeps[0] = sweeps[0], 0
+    solve_calls, calls[0] = calls[0], 0
     assert steps[0] == 4
     steps[0] = 0
-    # each call parses its own system and compiles its rows once
-    assert compiles[0] == 1
-    compiles[0] = 0
     # the sandwich check reads the two runs compare reports, and solves
     # nothing again
     assert run(capsys, ["compare"] + argv)[0] == 0
-    assert solve_sweeps > 0
-    assert sweeps[0] == solve_sweeps
+    assert solve_calls > 0
+    assert calls[0] == solve_calls
     assert steps[0] == 4
-    assert compiles[0] == 1
     # --max-iters bounds the sandwich check too; a capped run fails it
     a, b, u = system_files(files, chase_system(), v(500, 500, 0))
     argv = ["--a", a, "--b", b, "--init", u, "--max-iters", "2", "--output", "json"]
-    sweeps[0] = steps[0] = 0
+    calls[0] = steps[0] = 0
     assert run(capsys, ["solve", "--method", "both"] + argv)[0] == 1
-    solve_sweeps, sweeps[0] = sweeps[0], 0
+    solve_calls, calls[0] = calls[0], 0
     solve_steps, steps[0] = steps[0], 0
     rc, out, _ = run(capsys, ["compare"] + argv)
     got = json.loads(out)
     assert rc == 1 and got["cyclic"]["status"] == got["power"]["status"] == "IterationCapHit"
     assert got["sandwich"] is False
-    assert 0 < sweeps[0] == solve_sweeps
+    assert 0 < calls[0] == solve_calls
     assert 0 < steps[0] == solve_steps
 
 

@@ -16,7 +16,7 @@ from helpers import (NEG, POS, RING_CYCLIC_STEPS, RING_LIMIT,
                      RING_POWER_STEPS, chain_system, chase_system,
                      dense_system, finite, planted_system,
                      reference_greatest_solution, reference_power_step,
-                     reference_sweep, ring_ineq_system, typed_report, v)
+                     ring_ineq_system, typed_report, v)
 
 U6 = v(0, 0, 0, 0, 0, 0)
 
@@ -428,32 +428,6 @@ def test_operation_count_scaling():
     assert p48 / p6 > 40
 
 
-def test_system_compiles_once(monkeypatch):
-    # the rows are compiled on the first cyclic_solve or feasibility and
-    # kept; power_solve reads the matrices and compiles nothing
-    calls = [0]
-    compile_rows = solvers._compile
-
-    def counted(S):
-        calls[0] += 1
-        return compile_rows(S)
-    monkeypatch.setattr(solvers, "_compile", counted)
-    S, u, _ = planted_system(random.Random(5))
-    assert S._compiled is None
-    mp.power_solve(S, u, keep_trace=True)
-    assert calls[0] == 0 and S._compiled is None
-    mp.cyclic_solve(S, u)
-    mp.cyclic_solve(S, u, keep_trace=True)
-    mp.feasibility(S, u)
-    assert calls[0] == 1
-    # a BottomOnly row is compiled once as well and annihilates each run
-    S = mp.InequalitySystem(mp.matrix([[0, NEG], [NEG, 0]]),
-                            mp.matrix([[NEG, NEG], [1, 1]]))
-    assert mp.cyclic_solve(S, v(3, 4)).status is Status.BOTTOM_REACHED
-    assert mp.feasibility(S, v(3, 4)).status == "OnlyBottom"
-    assert calls[0] == 2 and S._compiled == ((), True)
-
-
 def solver_entry(rng, kind, p_neg_inf):
     """-inf, or a small payload of the kind: int, Fraction, float, or
     any of the three (mixed), so that equal values of two types tie."""
@@ -469,10 +443,10 @@ def solver_entry(rng, kind, p_neg_inf):
     return k / 2
 
 
-def test_compiled_steps_match_the_reference_kernels():
-    # whole reports against the row-by-row HalfSpace path and the
-    # three-kernel power step they replace: statuses, limits, counts,
-    # pinned coordinates and every traced iterate, payload types included
+def test_power_step_matches_the_three_kernels():
+    # whole reports against vec_meet(residuated_apply(B, mat_apply(A, x)), x):
+    # statuses, limits, counts, pinned coordinates and every traced
+    # iterate, payload types included
     rng = random.Random(12)
     seen = set()
     for case in range(400):
@@ -482,18 +456,16 @@ def test_compiled_steps_match_the_reference_kernels():
         A, B = ([[solver_entry(rng, kind, p_neg) for _ in range(n)] for _ in range(p)]
                 for _ in "AB")
         S = mp.InequalitySystem(mp.matrix(A, ncols=n), mp.matrix(B, ncols=n))
-        start_neg = rng.choice((0.0, 0.0, 0.3))
-        u = mp.vector([solver_entry(rng, kind, start_neg) for _ in range(n)])
+        start_inf = rng.choice((0.0, 0.0, 0.3))
+        u = mp.vector([rng.choice((NEG, POS)) if rng.random() < start_inf
+                       else solver_entry(rng, kind, 0.0) for _ in range(n)])
         tol = rng.choice((None, None, 0.5, 2.0))
         max_iters = rng.choice((3, 40, 400))
-        for name, make_step, keep_last, step_kind in (
-                ("cyclic_solve", reference_sweep, True, "cyclic"),
-                ("power_solve", reference_power_step, False, "power")):
-            for keep_trace in (False, True):
-                got = getattr(mp, name)(S, u, max_iters=max_iters, tol=tol,
-                                        keep_trace=keep_trace)
-                want = solvers._solve(S, u, make_step, keep_last, step_kind,
-                                      max_iters, tol, keep_trace)
-                assert typed_report(got) == typed_report(want), (case, name, keep_trace)
-                seen.add((got.status, bool(got.pinned)))
+        for keep_trace in (False, True):
+            got = mp.power_solve(S, u, max_iters=max_iters, tol=tol,
+                                 keep_trace=keep_trace)
+            want = solvers._solve(S, u, reference_power_step, False, "power",
+                                  max_iters, tol, keep_trace)
+            assert typed_report(got) == typed_report(want), (case, keep_trace)
+            seen.add((got.status, bool(got.pinned)))
     assert len(seen) >= 4
