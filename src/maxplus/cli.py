@@ -250,13 +250,18 @@ def cmd_canonicalize(args):
     return 0
 
 
-def _face_json(face):
-    return {
-        "pivot": face.pivot,
-        "fixed": {str(j): format_scalar(v) for j, v in sorted(face.fixed.items())},
-        "box": {str(k): [format_scalar(lo), format_scalar(hi)]
-                for k, (lo, hi) in sorted(face.box.items())},
-    }
+def _face_json(face, memo):
+    """memo maps k to the (bounds, key, tokens) last formatted in this
+    call, reused only for the very tuple best_approx_set shares."""
+    box = {}
+    for k, b in sorted(face.box.items()):
+        m = memo.get(k)
+        if m is None or m[0] is not b:
+            m = memo[k] = (b, str(k), [format_scalar(b[0]), format_scalar(b[1])])
+        box[m[1]] = m[2]
+    return {"pivot": face.pivot,
+            "fixed": {str(j): format_scalar(v) for j, v in sorted(face.fixed.items())},
+            "box": box}
 
 
 def cmd_best_approx(args):
@@ -275,9 +280,10 @@ def cmd_best_approx(args):
               lambda: print("distance is +inf; every point of the "
                             "half-space is a nearest point"))
         return 0
+    memo = {}
     payload = {
         "distance": format_scalar(result.base_distance),
-        "faces": [_face_json(f) for f in result.faces],
+        "faces": [_face_json(f, memo) for f in result.faces],
     }
 
     def text():

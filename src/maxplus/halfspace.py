@@ -35,6 +35,8 @@ With canonical coefficients (a', b'), writing I = Supp a', J = Supp b':
         x_k - bx  <=  h_k  <=  P_H(x)_k - a'x   for all other k,
 
     the whole face then being translated by any finite amount.
+    best_approx_set computes these bounds once per call; each face owns
+    its fixed and box dicts, and the faces share only the bound tuples.
 
 A canonical form is stored once, as the ascending (index, coefficient)
 pairs on I and on J; a', b', I and J are read off them, and a'x, a'h
@@ -358,14 +360,17 @@ def best_approx_set(H, x):
     # the coefficients, ax and bx are finite and x has no +inf entry, so
     # plain + and - are the lower addition and the pairs give the argmaxes
     fixed_b = {j: -b for j, b in C.b_pairs if b + xs[j] == bx}
+    # one interval table; each face copies it less its pivot (in I, off J)
+    table = {k: (xs[k] - bx, P[k] - ax) for k in range(len(xs))
+             if k not in fixed_b}
     faces = []
     for i, a in C.a_pairs:
         if a + xs[i] != ax:
             continue
         fixed = dict(fixed_b)
         fixed[i] = -a
-        box = {k: (xs[k] - bx, P[k] - ax) for k in range(len(xs))
-               if k not in fixed}
+        box = table.copy()
+        del box[i]
         faces.append(FaceBox(i, fixed, box))
     return BestApproxSet(d, tuple(faces))
 

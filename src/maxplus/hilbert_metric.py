@@ -84,10 +84,9 @@ def restrict(x, indices):
     On {y | Supp y within indices} this map is injective and preserves
     hilbert_distance, which is what makes support reduction work.
     """
+    idx = sorted(indices)
     n = len(x)
-    out = []
-    for i in sorted(indices):
-        if not 0 <= i < n:
-            raise DimensionError(f"index {i} out of range for length {n}")
-        out.append(x[i])
-    return _vec(tuple(out))
+    if idx and not (0 <= idx[0] and idx[-1] < n):
+        bad = next(i for i in idx if not 0 <= i < n)
+        raise DimensionError(f"index {bad} out of range for length {n}")
+    return _vec(tuple(map(x.entries.__getitem__, idx)))

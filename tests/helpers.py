@@ -6,12 +6,13 @@ instances; hypothesis covers the open-ended corners separately.
 
 from __future__ import annotations
 
+import json
 import re
 from fractions import Fraction
 
 import maxplus as mp
-from maxplus.errors import (InfiniteDistanceError, ParseError,
-                            UnsupportedCaseError)
+from maxplus.errors import (InfiniteDistanceError, MaxplusError, ParseError,
+                            PointInSetError, UnsupportedCaseError)
 from maxplus.extreal import parse_scalar
 from maxplus.halfspace import _prepared
 
@@ -329,7 +330,8 @@ def reference_canonical(H):
 
 def reference_best_approx_set(H, x):
     """best_approx_set with both argmax sets found by a lower-addition
-    scan over all n indices."""
+    scan over all n indices, and each face's box bounds computed afresh
+    for that face (the library computes them once per call)."""
     C, ax, bx, d = _prepared(H, x)
     P = mp.project(H, x)
 
@@ -344,6 +346,107 @@ def reference_best_approx_set(H, x):
         box = {k: (x[k] - bx, P[k] - ax) for k in range(len(x)) if k not in fixed}
         faces.append(mp.FaceBox(i, fixed, box))
     return mp.BestApproxSet(d, tuple(faces))
+
+
+PAYLOAD_KINDS = ("int", "fraction", "float", "mixed")
+
+
+def rand_number(rng, kind, lo=-6, hi=6):
+    """A finite scalar of one payload kind: an int, a Fraction with
+    denominator 2 or 3, a float on the half-integers, or ("mixed") any
+    of the three."""
+    if kind == "mixed":
+        kind = rng.choice(PAYLOAD_KINDS[:3])
+    k = rng.randint(lo, hi)
+    if kind == "int":
+        return k
+    if kind == "fraction":
+        return mp.scalar(Fraction(k, rng.choice((2, 3))))
+    return k / 2
+
+
+def tied_best_approx_case(rng, n, kind):
+    """(H, x) in dimension n >= 2, x outside H at a finite distance,
+    with a'x attained at up to n - 1 indices, so that the best
+    approximation has that many faces (ties are exact unless mixed
+    payloads round).  x is -inf at some indices that attain neither
+    a'x nor b'x."""
+    def below(e):  # a value under e, or -inf
+        return NEG if e == NEG or rng.random() < 0.4 else \
+            e - rand_number(rng, kind, 1, 4)
+
+    def finite_x(k):
+        if x[k] == NEG:
+            x[k] = rand_number(rng, kind)
+        return x[k]
+
+    idx = list(range(n))
+    rng.shuffle(idx)
+    n_tied = rng.randint(1, n - 1)
+    tied, j0, rest = idx[:n_tied], idx[n_tied], idx[n_tied + 1:]
+    x = [NEG if rng.random() < 0.3 else rand_number(rng, kind) for _ in range(n)]
+    ax = rand_number(rng, kind)
+    bx = ax + rand_number(rng, kind, 1, 4)
+    a, b = [NEG] * n, [NEG] * n
+    for i in tied:  # on I, attaining a'x
+        a[i] = ax - finite_x(i)
+        b[i] = below(a[i])
+    b[j0] = bx - finite_x(j0)  # on J, attaining b'x
+    a[j0] = below(b[j0])
+    for k in rest:
+        if rng.random() < 0.5:  # on J at or below b'x (or on neither)
+            b[k] = rand_number(rng, kind) if x[k] == NEG else \
+                bx - x[k] if rng.random() < 0.5 else below(bx - x[k])
+            a[k] = below(b[k])
+        else:  # on I below a'x (or on neither)
+            a[k] = rand_number(rng, kind) if x[k] == NEG else below(ax - x[k])
+            b[k] = below(a[k])
+    return mp.HalfSpace(a, b), mp.vector(x)
+
+
+def reference_face_json(face):
+    """The command line's JSON for one face, every bound formatted for
+    every face."""
+    return {
+        "pivot": face.pivot,
+        "fixed": {str(j): mp.format_scalar(v) for j, v in sorted(face.fixed.items())},
+        "box": {str(k): [mp.format_scalar(lo), mp.format_scalar(hi)]
+                for k, (lo, hi) in sorted(face.box.items())},
+    }
+
+
+def reference_best_approx_output(h_text, x_text, output):
+    """(exit status, stdout, stderr) of `maxplus best-approx` on a
+    half-space and a point file holding these texts, built from
+    reference_best_approx_set and reference_face_json."""
+    try:
+        H = mp.parse_halfspace(h_text)
+        x = mp.parse_vector(x_text)
+        best = reference_best_approx_set(H, x)
+    except PointInSetError:
+        d = mp.format_scalar(mp.distance(H, x))
+        payload = {"in_set": True, "distance": d}
+        lines = [f"the point already lies in the half-space; distance {d}"]
+    except InfiniteDistanceError:
+        payload = {"distance": "+inf", "all_of_halfspace": True}
+        lines = ["distance is +inf; every point of the half-space is a "
+                 "nearest point"]
+    except (MaxplusError, ValueError) as e:
+        return 2, "", f"error: {e}\n"
+    else:
+        payload = {"distance": mp.format_scalar(best.base_distance),
+                   "faces": [reference_face_json(f) for f in best.faces]}
+        lines = [f"distance: {payload['distance']}"]
+        for f in payload["faces"]:
+            line = f"face pivot {f['pivot']}: " + ", ".join(
+                f"h{j} = {v}" for j, v in f["fixed"].items())
+            if f["box"]:
+                line += "; " + ", ".join(f"{lo} <= h{k} <= {hi}"
+                                         for k, (lo, hi) in f["box"].items())
+            lines.append(line + "  (translate by any finite constant)")
+    if output == "json":
+        return 0, json.dumps(payload, sort_keys=True) + "\n", ""
+    return 0, "".join(line + "\n" for line in lines), ""
 
 
 # --- reference for the text reader -----------------------------------------

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,8 +16,11 @@ import maxplus as mp
 from maxplus import cli, semimodule, solvers
 from maxplus.cli import main
 from maxplus.errors import UnsupportedCaseError
-from helpers import (DISJ_H, DISJ_X, EVAX_GENS, NEG, POS, chain_system,
-                     chase_system, planted_system_sized, ring_ineq_system, v)
+from helpers import (DISJ_H, DISJ_X, EVAX_GENS, NEG, PAYLOAD_KINDS, POS,
+                     chain_system, chase_system, planted_system_sized,
+                     rand_payload, reference_best_approx_output,
+                     reference_face_json,
+                     ring_ineq_system, tied_best_approx_case, v)
 
 
 @pytest.fixture
@@ -299,6 +303,51 @@ def test_best_approx_infinite_distance(files, capsys):
                               "--output", "json"])
     assert rc == 0
     assert json.loads(out) == {"distance": "+inf", "all_of_halfspace": True}
+
+
+def test_best_approx_output_matches_per_face_formatter(files, capsys):
+    # faces that share their bound tuples print exactly as faces
+    # formatted one by one: JSON and text, exit codes, and the error paths
+    # (+inf in a coefficient or the point, a member point, distance +inf)
+    rng = random.Random(31)
+    faces, outcomes = 0, set()
+    for t in range(300):
+        if t % 3:
+            H, x = tied_best_approx_case(rng, rng.randint(2, 7),
+                                         PAYLOAD_KINDS[t % 4])
+            h_text, x_text = mp.format_halfspace(H), mp.format_vector(x)
+        else:
+            n = rng.randint(1, 5)
+            a, b, x = ([rand_payload(rng, 0.3, 0.03) for _ in range(n)]
+                       for _ in range(3))
+            h_text = f"{n}\n{' '.join(map(mp.format_scalar, a))}\n" \
+                     f"{' '.join(map(mp.format_scalar, b))}\n"
+            x_text = f"{n}\n{' '.join(map(mp.format_scalar, x))}\n"
+        h, xp = files("H.txt", h_text), files("x.txt", x_text)
+        for output in ("json", "text"):
+            got = run(capsys, ["best-approx", "--halfspace", h, "--point", xp,
+                               "--output", output])
+            assert got == reference_best_approx_output(h_text, x_text, output)
+            if output == "json":
+                rc, out, _ = got
+                payload = json.loads(out) if rc == 0 else {"error": True}
+                outcomes |= payload.keys() & {"faces", "in_set",
+                                              "all_of_halfspace", "error"}
+                faces += len(payload.get("faces", ()))
+    assert faces > 400
+    assert outcomes == {"faces", "in_set", "all_of_halfspace", "error"}
+
+
+def test_face_json_reuses_tokens_only_for_the_same_bounds():
+    # equal bounds of another type, or other bounds at the same
+    # coordinate, are formatted afresh
+    shared = (0, Fraction(1, 2))
+    faces = [mp.FaceBox(0, {0: 0}, {1: shared, 2: (NEG, 1.5)}),
+             mp.FaceBox(1, {1: 0}, {0: (1, 2), 2: (NEG, 2.5)}),
+             mp.FaceBox(2, {2: 0}, {0: (1.0, 2), 1: shared})]
+    memo = {}
+    assert ([cli._face_json(f, memo) for f in faces]
+            == [reference_face_json(f) for f in faces])
 
 
 def test_separate_json(files, capsys):

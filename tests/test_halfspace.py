@@ -14,10 +14,11 @@ from maxplus.errors import (ClassificationError, DimensionError,
                             PointInSetError, UnsupportedCaseError)
 from maxplus.halfspace import Kind
 from oracle import GridSpec, grid_min_distance, grid_projection, grid_vectors
-from helpers import (DISJ_H, DISJ_X, NEG, POS, RULTER_H, SUBFACE_H, SUBFACE_X,
-                     finite, rand_halfspace, rand_payload, rand_vector,
-                     reference_best_approx_set, reference_canonical,
-                     reference_classify, typed, v)
+from helpers import (DISJ_H, DISJ_X, NEG, PAYLOAD_KINDS, POS, RULTER_H,
+                     SUBFACE_H, SUBFACE_X, finite, rand_halfspace,
+                     rand_payload, rand_vector, reference_best_approx_set,
+                     reference_canonical, reference_classify,
+                     tied_best_approx_case, typed, v)
 
 def test_contains():
     assert mp.contains(RULTER_H, v(1, 1, 0))
@@ -392,6 +393,9 @@ def _check_faces(H, x):
     # is compared too
     assert ([typed((f.pivot, f.fixed, f.box)) for f in got.faces]
             == [typed((f.pivot, f.fixed, f.box)) for f in want.faces])
+    # each face owns its dicts; only the bound tuples may be shared
+    dicts = [id(d) for f in got.faces for d in (f.fixed, f.box)]
+    assert len(set(dicts)) == len(dicts)
     return True
 
 
@@ -405,6 +409,20 @@ def test_best_approx_faces_match_full_scan_seeded():
         x = mp.vector([rand_payload(rng, 0.15, 0.03) for _ in range(n)])
         checked += _check_faces(H, x)
     assert checked > 300
+
+
+def test_best_approx_faces_match_per_face_construction_on_ties():
+    # planted ties in a'x give several faces per call, each of which must
+    # equal the face built on its own, payload types and key order included
+    rng = random.Random(13)
+    faces = {kind: [] for kind in PAYLOAD_KINDS}
+    for kind in PAYLOAD_KINDS:
+        for _ in range(150):
+            H, x = tied_best_approx_case(rng, rng.randint(2, 8), kind)
+            assert _check_faces(H, x)
+            faces[kind].append(len(mp.best_approx_set(H, x).faces))
+    for kind, counts in faces.items():
+        assert sum(c >= 3 for c in counts) >= 30, kind
 
 
 coefficients = st.one_of(st.just(NEG), st.integers(min_value=-4, max_value=4),

@@ -1,9 +1,11 @@
 """Supports, parts, and the projective distance."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import maxplus as mp
+from maxplus.errors import DimensionError
 from helpers import NEG, POS, finite, v
 
 scalars = st.one_of(
@@ -71,6 +73,19 @@ def test_restrict():
     assert mp.hilbert_distance(a, b) == \
         mp.hilbert_distance(mp.restrict(a, {0, 2}), mp.restrict(b, {0, 2})) \
         == 1
+
+
+def test_restrict_checks_range_in_sorted_order():
+    x = v(1, NEG, 3)
+    assert mp.restrict(x, []) == v()
+    assert mp.restrict(x, [2, 0, 1]).entries == (1, NEG, 3)
+    # the error names the first bad index of the sorted indices, which is
+    # not always one of the two ends
+    for indices, bad in (([5, -1, 4, 0], -1), ([0, 7, 4], 4), ([3], 3),
+                         ({-2, -5}, -5)):
+        with pytest.raises(DimensionError,
+                           match=rf"^index {bad} out of range for length 3$"):
+            mp.restrict(x, indices)
 
 
 @given(vectors(4), vectors(4))
