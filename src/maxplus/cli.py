@@ -58,10 +58,12 @@ def _load(args, parse, path):
 
 def _all_integral(A, B, u):
     """Whether every finite entry of the system and the start is an int."""
-    entries = [e for M in (A, B) for r in M.rows for e in r]
-    entries.extend(u)
-    return all(isinstance(e, int) or e == NEG_INF or e == POS_INF
-               for e in entries)
+    for rows in (A.rows, B.rows, (u,)):
+        for r in rows:
+            for e in r.entries:
+                if not isinstance(e, int) and NEG_INF < e < POS_INF:
+                    return False
+    return True
 
 
 def _resolve_mode(args, A, B, u):
@@ -363,10 +365,10 @@ def build_parser():
 
     def solver_opts(p):
         p.add_argument("--tol", type=float, default=None,
-                       help=f"float-mode termination tolerance "
-                            f"(default {DEFAULT_TOL})")
+                       help=f"float-mode termination tolerance, finite "
+                            f"and >= 0 (default {DEFAULT_TOL})")
         p.add_argument("--max-iters", type=int, default=None,
-                       help="sweep/step cap (env MPS_MAX_ITERS, default "
+                       help="sweep/step cap, >= 0 (env MPS_MAX_ITERS, default "
                             f"{solvers.DEFAULT_MAX_ITERS})")
 
     p = sub.add_parser("solve", help="greatest solution of Ax >= Bx below u")

@@ -369,6 +369,10 @@ def _cyclic_run(S, u, step, keep_last, max_iters, tol, points=None,
 
 def _solve(S, u, make_step, keep_last, kind, max_iters, tol, keep_trace):
     _check_start(S, u)
+    if tol is not None and not 0 <= tol < POS_INF:
+        raise UnsupportedCaseError(f"tol must be finite and >= 0, got {tol!r}")
+    if max_iters < 0:
+        raise UnsupportedCaseError(f"max_iters must be >= 0, got {max_iters!r}")
     points = [u] if keep_trace else None
     status, x, sweeps, additions, pinned, ends = _cyclic_run(
         S, u, make_step(S), keep_last, max_iters, tol, points)
@@ -382,7 +386,8 @@ def cyclic_solve(S, u, max_iters=DEFAULT_MAX_ITERS, tol=None, keep_trace=False):
 
     max_iters caps the number of sweeps; iterations reports the number
     of sweeps that changed the iterate.  The sweep that passes the stop
-    test is kept.
+    test is kept.  Both solvers raise UnsupportedCaseError for a tol
+    that is NaN, infinite or negative and for a negative max_iters.
     """
     return _solve(S, u, _sweep, True, "cyclic", max_iters, tol, keep_trace)
 

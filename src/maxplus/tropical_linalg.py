@@ -34,7 +34,8 @@ blank lines are ignored, so a row of width 0 takes no line.
 parse_rows reads them all and format_rows writes them, token for token
 its inverse, at every n and p including 0.  Whitespace is str.isspace
 (the same characters as the regex \\s) and lines are str.splitlines;
-the reader tokenizes with str.split and computes a column only for a
+the reader tokenizes with str.split, reads a row of plain integers and
+-inf in one pass (parse_rows), and computes a column only for a
 ParseError, which names the first bad token in reading order.
 """
 
@@ -261,10 +262,18 @@ def parse_rows(text, mode=None, nrows=None):
     0 takes no line.  Returns (rows, n), rows a tuple of vectors.
 
     Tokens are the maximal runs of characters that are not str.isspace
-    (line.split()); the grammar of each is parse_scalar's.  Plain ASCII
-    integers take a shortcut to the same value and type; columns are
-    computed only for an error, which cites the first bad token in
-    reading order.
+    (line.split()); the grammar of each is parse_scalar's.  Outside
+    float mode, a row whose line is ASCII, has no "_", "." or "/" and
+    has no token over 300 characters is read in one pass: "-inf" is
+    -inf and every other token goes to int().  int() alone would also
+    take "1_000" and non-ASCII digits, which the grammar refuses, and
+    300 digits keep the value inside the float range; a "." or "/"
+    marks a decimal or a ratio, which int() refuses anyway.  Any other
+    row, one whose pass fails, and every row in float mode (where "-0"
+    is -0.0, a sign int() drops) is read token by token: plain integers
+    of up to 300 digits by int() or float(), the rest by parse_scalar.
+    Columns are computed only for an error, which cites the first bad
+    token in reading order.
     """
     lines = _lines(text)
     lineno, line, toks = next(lines, (None, None, ()))
@@ -292,6 +301,15 @@ def parse_rows(text, mode=None, nrows=None):
             raise ParseError(f"expected {n} entries in row {len(rows) + 1}, "
                              f"got {len(toks)}",
                              line=lineno, column=_column(line, 0))
+        if (mode != "float" and "." not in line and "/" not in line
+                and "_" not in line and line.isascii()
+                and (len(line) <= 300 or max(map(len, toks)) <= 300)):
+            try:  # the one-pass row path (parse_rows docstring)
+                rows.append(_vec(tuple([NEG_INF if t == "-inf" else int(t)
+                                        for t in toks])))
+                continue
+            except ValueError:
+                pass
         try:
             rows.append(_vec(tuple([number(t) if _PLAIN_INT(t)
                                     else parse_scalar(t, mode) for t in toks])))

@@ -7,6 +7,7 @@ instances; hypothesis covers the open-ended corners separately.
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -504,13 +505,23 @@ def reference_parse_rows(text, mode=None, nrows=None):
 
 
 def read_outcome(read, text, mode, nrows):
-    """What read(text, mode, nrows) gives: its rows with payload types
-    and n, or the message, line and column of its ParseError."""
+    """What read(text, mode, nrows) gives: its rows with payload types,
+    the sign of every float (typed alone has -0.0 == 0.0) and n, or the
+    message, line and column of its ParseError."""
     try:
         rows, n = read(text, mode, nrows)
     except ParseError as e:
         return ("error", str(e), e.line, e.column)
-    return ("rows", typed(rows), n)
+    signs = [[math.copysign(1, e) for e in r if isinstance(e, float)] for r in rows]
+    return ("rows", typed(rows), signs, n)
+
+
+def reference_all_integral(A, B, u):
+    """cli._all_integral as one generator over every entry: whether each
+    finite entry of A, B and u is an int."""
+    entries = [e for M in (A, B) for r in M.rows for e in r]
+    entries.extend(u)
+    return all(isinstance(e, int) or e == NEG or e == POS for e in entries)
 
 
 def reference_universal_halfspace(V, x):

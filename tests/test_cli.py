@@ -18,8 +18,8 @@ from maxplus.cli import main
 from maxplus.errors import UnsupportedCaseError
 from helpers import (DISJ_H, DISJ_X, EVAX_GENS, NEG, PAYLOAD_KINDS, POS,
                      chain_system, chase_system, planted_system_sized,
-                     rand_payload, reference_best_approx_output,
-                     reference_face_json,
+                     rand_payload, reference_all_integral,
+                     reference_best_approx_output, reference_face_json,
                      ring_ineq_system, tied_best_approx_case, v)
 
 
@@ -434,6 +434,64 @@ def test_pos_inf_coefficients_refused_by_every_solver(files, capsys):
             rc, out, err = run(capsys, ["solve", "--a", a, "--b", b,
                                         "--init", init, "--method", method])
             assert (rc, out) == (2, "") and re.search(message, err)
+
+
+def test_solve_and_compare_refuse_a_bad_tol_or_max_iters(files, capsys, monkeypatch):
+    # only bottom lies below u: a NaN or infinite tol let solve print a
+    # point that is no solution as Solved, exit 0, and a negative cap
+    # gave IterationCapHit after no sweep
+    a = files("A.txt", "2 2\n0 -inf\n-inf 0\n")
+    b = files("B.txt", "2 2\n-inf 1\n0 -inf\n")
+    u = files("u.txt", "2\n5 5\n")
+    for command in (["solve"], ["solve", "--method", "power"], ["compare"]):
+        argv = command + ["--a", a, "--b", b, "--init", u, "--output", "json"]
+        for extra, message in ((["--tol", "nan"], "tol must be finite and >= 0"),
+                               (["--tol", "inf"], "tol must be finite and >= 0"),
+                               (["--tol", "-1"], "tol must be finite and >= 0"),
+                               (["--max-iters", "-3"], "max_iters must be >= 0")):
+            rc, out, err = run(capsys, argv + ["--mode", "float"] + extra)
+            assert (rc, out) == (2, "") and message in err, (command, extra)
+        monkeypatch.setenv("MPS_MAX_ITERS", "-3")
+        rc, out, err = run(capsys, argv)
+        assert (rc, out) == (2, "") and "max_iters must be >= 0" in err
+        monkeypatch.delenv("MPS_MAX_ITERS")
+        rc, out, _ = run(capsys, argv + ["--mode", "float", "--tol", "0"])
+        assert rc == 1 and "BottomReached" in out
+
+
+def test_mode_inference_matches_one_generator():
+    # cli._all_integral stops at the first finite non-int entry; the
+    # reference looks at every entry
+    rng = random.Random(14)
+    odd = {"fraction": lambda k: Fraction(2 * k + 1, 2), "float": lambda k: k / 4,
+           "float-int": float}
+    seen = set()
+    for _ in range(1500):
+        n, p = rng.randint(0, 5), rng.randint(0, 4)
+        share = rng.choice((0, 0.02, 0.1, 0.5))
+
+        def entry():
+            r = rng.random()
+            if r < share:
+                return odd[rng.choice(tuple(odd))](rng.randint(-4, 4))
+            return rng.choice((NEG, POS, rng.randint(-9, 9)))
+
+        A, B = (mp.matrix([[entry() for _ in range(n)] for _ in range(p)], ncols=n)
+                for _ in range(2))
+        u = [entry() for _ in range(n)]
+        if n and rng.random() < 0.25:  # a single finite float, in u only
+            A, B = (mp.matrix([[e if e in (NEG, POS) else int(e) for e in r]
+                               for r in M.rows], ncols=n) for M in (A, B))
+            u = [e if e in (NEG, POS) else int(e) for e in u]
+            u[rng.randrange(n)] = rng.randint(-4, 4) / 2
+        u = mp.vector(u)
+        want = reference_all_integral(A, B, u)
+        assert cli._all_integral(A, B, u) is want, (A, B, u)
+        seen.add(want)
+    assert seen == {True, False}
+    one_float = (mp.matrix([[0, NEG], [POS, 3]]), mp.matrix([[1, 2], [NEG, NEG]]),
+                 v(4, 2.5))
+    assert cli._all_integral(*one_float) is reference_all_integral(*one_float) is False
 
 
 def test_missing_file_exit_2(files, capsys):

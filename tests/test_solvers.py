@@ -469,3 +469,24 @@ def test_power_step_matches_the_three_kernels():
             assert typed_report(got) == typed_report(want), (case, keep_trace)
             seen.add((got.status, bool(got.pinned)))
     assert len(seen) >= 4
+
+
+def test_solvers_refuse_a_bad_tol_or_max_iters():
+    # x0 >= x1 + 1, x1 >= x0: only bottom.  A NaN or infinite tol passed
+    # every stop test (a point that is no solution came back Solved), a
+    # negative one none, and a negative cap gave IterationCapHit after
+    # no sweep
+    S = mp.InequalitySystem(mp.matrix([[0, NEG], [NEG, 0]]),
+                            mp.matrix([[NEG, 1], [0, NEG]]))
+    u = v(5.0, 5.0)
+    for solve in (mp.cyclic_solve, mp.power_solve):
+        for tol in (float("nan"), POS, NEG, -1, -1e-300, Fraction(-1, 2)):
+            with pytest.raises(UnsupportedCaseError, match="tol must be finite and >= 0"):
+                solve(S, u, tol=tol)
+        for max_iters in (-1, -3):
+            with pytest.raises(UnsupportedCaseError, match="max_iters must be >= 0"):
+                solve(S, u, max_iters=max_iters)
+        assert solve(S, u, tol=0.0).status is Status.BOTTOM_REACHED
+        assert solve(S, u, tol=-0.0).status is Status.BOTTOM_REACHED
+        r = solve(S, u, max_iters=0)
+        assert (r.status, r.iterations, r.solution) == (Status.ITERATION_CAP_HIT, 0, u)

@@ -1,5 +1,6 @@
 """Vector/matrix operations, residuation, and the text formats."""
 
+import math
 import random
 import re
 import sys
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import maxplus as mp
 from helpers import (NEG, POS, finite, read_outcome, reference_parse_rows,
-                     ring_ineq_system, v)
+                     ring_ineq_system, typed, v)
 
 from maxplus.errors import DimensionError, ParseError
 
@@ -337,3 +338,57 @@ def test_reader_integer_shortcut_boundaries():
                 text = "2\n0 " + sign + digits + "\n"
                 assert (read_outcome(mp.parse_rows, text, mode, 1)
                         == read_outcome(reference_parse_rows, text, mode, 1))
+
+
+def _held_to_reference(text, nrows=1):
+    """read_outcome of parse_rows in every mode, each checked against the
+    regex reference (float signs included)."""
+    got = {}
+    for mode in MODES:
+        got[mode] = read_outcome(mp.parse_rows, text, mode, nrows)
+        assert got[mode] == read_outcome(reference_parse_rows, text, mode, nrows), \
+            (text, mode)
+    return got
+
+
+def test_reader_rows_keep_signed_zeros():
+    # -0 is the int 0 in modes None and int and the float -0.0 in float
+    # mode, whichever path reads its row
+    for row in ("-0 +0 -00", "0 -0", "-0 -inf", "-0 2.5", "-00  0"):
+        _held_to_reference(f"{len(row.split())}\n{row}\n")
+    text = "3\n-0 +0 -00\n"
+    for mode in (None, "int"):
+        assert typed(mp.parse_vector(text, mode)) == [("int", 0)] * 3
+    assert [math.copysign(1, e) for e in mp.parse_vector(text, "float")] == [-1, 1, -1]
+
+
+def test_reader_rows_with_infinities():
+    for row in ("-inf -INF +inf inf -Infinity", "-inf 3 -inf", "+inf -inf 0",
+                "-inf", "inf 1"):
+        got = _held_to_reference(f"{len(row.split())}\n{row}\n")
+        assert got[None][0] == got["int"][0] == "rows", row
+
+
+def test_reader_rows_around_300_characters():
+    # a row whose line has at most 300 characters, or whose tokens all
+    # have, is read in one pass; a longer token goes through parse_scalar
+    nines = "9" * 300
+    rows = (nines, "1 " + nines, "1 " + "9" * 301, "-" + nines + " 2",
+            "1 -" + nines, "3 " + "9" * 309, " ".join(["12"] * 120),
+            " ".join(["-inf"] * 70 + ["7"]), "1 " * 150 + "9" * 301)
+    for row in rows:
+        _held_to_reference(f"{len(row.split())}\n{row}\n")
+    got = _held_to_reference(f"2\n1 {'9' * 301}\n")
+    assert got["int"][1][0][1] == ("int", int("9" * 301))
+
+
+def test_reader_error_names_the_first_refused_token():
+    for bad in ("1_0", "\u0661", "nan", "0x10"):
+        for toks in ([bad, "1", "2"], ["-inf", bad, "2"], ["1", "-inf", bad],
+                     ["1", bad, "nan"], ["5", bad, bad]):
+            line = "  ".join(toks)
+            column = line.index(bad) + 1
+            got = _held_to_reference(f"1 3\n\n{line}\n", nrows=None)
+            for mode in MODES:
+                assert got[mode][0] == "error" and got[mode][2:] == (3, column), \
+                    (line, mode)
