@@ -39,7 +39,8 @@ import sys
 from . import halfspace as hs
 from . import semimodule as sm
 from . import solvers
-from .errors import (InfiniteDistanceError, MaxplusError, PointInSetError)
+from .errors import (InfiniteDistanceError, MaxplusError, PointInSetError,
+                     UnsupportedCaseError)
 from .extreal import NEG_INF, POS_INF, format_scalar
 from .tropical_linalg import format_vector, parse_matrix, parse_vector
 
@@ -68,7 +69,10 @@ def _all_integral(A, B, u):
 
 def _resolve_mode(args, A, B, u):
     """Fill in args.mode/args.tol after parsing: int mode means exact
-    termination (tol None), float mode uses --tol."""
+    termination (tol None), float mode uses --tol.  --tol is checked
+    first, as the solvers check it, so it means the same in both modes."""
+    if args.tol is not None and not 0 <= args.tol < POS_INF:
+        raise UnsupportedCaseError(f"tol must be finite and >= 0, got {args.tol!r}")
     if args.mode is None:
         args.mode = "int" if _all_integral(A, B, u) else "float"
     args.tol = None if args.mode == "int" else (

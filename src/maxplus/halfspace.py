@@ -49,9 +49,16 @@ best-approximation operations read that pair, so each is computed
 once per half-space object.  The cost is one canonical
 form per half-space, kept by a single attribute store, so a concurrent
 reader sees no pair or the whole pair.  Nothing invalidates it:
-half-spaces and vectors are immutable, and no code assigns their
-attributes after construction (tropical_linalg._vec only fills a new
-vector).
+half-spaces, their canonical forms and vectors are immutable, and no
+code assigns their attributes after construction (tropical_linalg._vec
+and _halfspace only fill a new object).  CanonicalHalfSpace is a
+slotted value class like HalfSpace: == and hash compare (n, a_pairs,
+b_pairs), and it is built through its class name.
+
+HalfSpace(a, b) checks its coefficients.  The rows of an
+InequalitySystem are checked once, when the system is built, and the
+solvers make each row's half-space with _halfspace, which checks
+nothing again.
 
 Indices are 0-based everywhere.
 """
@@ -76,11 +83,14 @@ class Kind(enum.Enum):
     PROPER = "Proper"
 
 
+# module-level names for the members, read without an enum lookup
+_EVERYTHING, _BOTTOM_ONLY, _PROPER = Kind.EVERYTHING, Kind.BOTTOM_ONLY, Kind.PROPER
+
+
 def _check_coefficients(v, what):
-    for e in v:
-        if e == POS_INF:
-            raise UnsupportedCaseError(f"{what} coefficients must lie in "
-                                       "R u {-inf}, found +inf")
+    if POS_INF in v.entries:
+        raise UnsupportedCaseError(f"{what} coefficients must lie in "
+                                   "R u {-inf}, found +inf")
     return v
 
 
@@ -112,17 +122,44 @@ class HalfSpace:
         return f"HalfSpace({self.a!r}, {self.b!r})"
 
 
-@dataclass(frozen=True)
+def _halfspace(a, b):
+    """A HalfSpace over two TropicalVectors of equal length without
+    +inf entries, such as a row pair of an InequalitySystem, which has
+    checked them already; nothing is checked again."""
+    H = object.__new__(HalfSpace)
+    H.a = a
+    H.b = b
+    H._form = None
+    return H
+
+
 class CanonicalHalfSpace:
     """Coefficients with disjoint supports defining the same set, in
     dimension n.  a_pairs / b_pairs are the ascending (index,
     coefficient) pairs on I = Supp a' and J = Supp b', every
     coefficient finite; J is nonempty for a proper H (the form an
-    Everything H keeps in _form has J empty)."""
+    Everything H keeps in _form has J empty).  A value: == and hash
+    compare (n, a_pairs, b_pairs)."""
 
-    n: int
-    a_pairs: tuple
-    b_pairs: tuple
+    __slots__ = ("n", "a_pairs", "b_pairs")
+
+    def __init__(self, n, a_pairs, b_pairs):
+        self.n = n
+        self.a_pairs = a_pairs
+        self.b_pairs = b_pairs
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.n, self.a_pairs, self.b_pairs)
+                == (other.n, other.a_pairs, other.b_pairs))
+
+    def __hash__(self):
+        return hash((self.n, self.a_pairs, self.b_pairs))
+
+    def __repr__(self):
+        return (f"CanonicalHalfSpace(n={self.n!r}, a_pairs={self.a_pairs!r}, "
+                f"b_pairs={self.b_pairs!r})")
 
     @property
     def I(self):
@@ -218,17 +255,20 @@ def _form(H):
     """
     form = H._form
     if form is None:
+        a = H.a.entries
         a_pairs = []
         b_pairs = []
-        for i, (ai, bi) in enumerate(zip(H.a.entries, H.b.entries)):
+        for i, bi in enumerate(H.b.entries):
+            ai = a[i]
             if ai < bi:
                 b_pairs.append((i, bi))
             elif ai != NEG_INF:
                 a_pairs.append((i, ai))
-        kind = (Kind.EVERYTHING if not b_pairs else
-                Kind.BOTTOM_ONLY if len(b_pairs) == H.n else Kind.PROPER)
-        form = (kind, None if kind is Kind.BOTTOM_ONLY else
-                CanonicalHalfSpace(H.n, tuple(a_pairs), tuple(b_pairs)))
+        n = len(a)
+        kind = (_EVERYTHING if not b_pairs else
+                _BOTTOM_ONLY if len(b_pairs) == n else _PROPER)
+        form = (kind, None if kind is _BOTTOM_ONLY else
+                CanonicalHalfSpace(n, tuple(a_pairs), tuple(b_pairs)))
         H._form = form
     return form
 
@@ -239,7 +279,7 @@ def classify(H):
 
 def canonicalize(H):
     kind, C = _form(H)
-    if kind is not Kind.PROPER:
+    if kind is not _PROPER:
         raise ClassificationError(f"cannot canonicalize a {kind.value} half-space")
     return C
 
@@ -304,9 +344,9 @@ def project(H, x):
     """The greatest element of H below x."""
     _check_dim(H, x)
     kind, C = _form(H)
-    if kind is Kind.EVERYTHING:
+    if kind is _EVERYTHING:
         return x
-    if kind is Kind.BOTTOM_ONLY:
+    if kind is _BOTTOM_ONLY:
         return _vec((NEG_INF,) * H.n)
     return project_canonical(C, x)
 
@@ -319,7 +359,7 @@ def distance(H, x):
     if row_apply(H.a, x) >= bx:  # contains(H, x), true when H is Everything
         return hilbert_distance(x, x)
     kind, C = _form(H)
-    if kind is Kind.BOTTOM_ONLY:
+    if kind is _BOTTOM_ONLY:
         # H = {bottom} and x is not bottom
         return POS_INF
     return scalar_residual(_apply(C.a_pairs, x.entries), bx)
@@ -336,7 +376,7 @@ def _prepared(H, x):
     if row_apply(H.a, x) >= bx:  # contains(H, x), true when H is Everything
         raise PointInSetError("the point already lies in the half-space")
     kind, C = _form(H)
-    if kind is Kind.BOTTOM_ONLY:
+    if kind is _BOTTOM_ONLY:
         raise InfiniteDistanceError(
             "the half-space is the bottom vector alone; distance is +inf")
     # x is outside, so no index dropped from b attains bx: bx = b'x

@@ -56,6 +56,13 @@ time, Solved with -inf entries or BottomReached.  Until an entry falls
 below min(u) - 2n(n + p + 2), the highest the floor can be, the guard
 costs one comparison per sweep or step.  Pinned indices are reported.
 
+System rows are checked once, by InequalitySystem: equal shapes and no
++inf entry.  Each call builds what it needs from them and keeps nothing
+on the system: the cyclic step makes every row's half-space with
+halfspace._halfspace, which checks nothing again, then classifies and
+canonicalizes it once (a slotted CanonicalHalfSpace, halfspace module
+docstring).
+
 Reports count the additions of two finite scalars.  Which ones a sweep
 or step performs depends only on where its start is infinite, so each
 such pattern (mostly just "all finite") is counted entry by entry once.
@@ -68,8 +75,8 @@ from dataclasses import dataclass
 
 from .errors import DimensionError, MaxplusError, UnsupportedCaseError
 from .extreal import NEG_INF, POS_INF
-from .halfspace import (HalfSpace, Kind, _check_coefficients, canonicalize,
-                        classify, project_canonical)
+from .halfspace import (_BOTTOM_ONLY, _EVERYTHING, _check_coefficients,
+                        _halfspace, canonicalize, classify, project_canonical)
 from .hilbert_metric import hilbert_distance
 from .tropical_linalg import TropicalMatrix, TropicalVector, _vec, leq
 
@@ -173,12 +180,17 @@ class _Guard:
 
     def __init__(self, S, u, divergence_cap=None):
         self.S, self.u, self.cap, self.pinned = S, u, divergence_cap, set()
+        self.watch = NEG_INF
         xs = u.entries
-        if S.p == 0 or not xs or not all(NEG_INF < e < POS_INF for e in xs):
-            self.watch = NEG_INF
-        else:
-            self.watch = min(xs) - S.n * (2 * (S.n + S.p + 2) if divergence_cap is None
-                                          else divergence_cap)
+        p = len(S.A.rows)
+        if not p or not xs:
+            return
+        for e in xs:
+            if not NEG_INF < e < POS_INF:
+                return
+        n = len(xs)
+        self.watch = min(xs) - n * (2 * (n + p + 2) if divergence_cap is None
+                                    else divergence_cap)
 
     def cut(self, x):
         """x with every finite entry below the floor at -inf; None when
@@ -231,27 +243,42 @@ def _row_additions(C, x):
     """Finite additions of project_canonical(C, x): a'_i + x_i for each
     finite x_i on I, then t - b'_j over J when t = a'x is finite."""
     xs = x.entries
-    k = sum([NEG_INF < xs[i] < POS_INF for i, _ in C.a_pairs])
-    if k and all([xs[i] != POS_INF for i, _ in C.a_pairs]):
-        return k + len(C.b_pairs)
-    return k
+    k = 0
+    top = False
+    for i, _ in C.a_pairs:
+        e = xs[i]
+        if e == POS_INF:
+            top = True
+        elif e != NEG_INF:
+            k += 1
+    return k + len(C.b_pairs) if k and not top else k
 
 
 def _step_additions(S, xs, ys):
     """Finite additions of a power step from xs, given ys = A x: one per
-    finite A_ji at a finite x_i, one per finite B_ji at a finite y_j."""
+    finite A_ji at a finite x_i, one per finite B_ji at a finite y_j.
+    A and B have no +inf entry, so a row's support holds exactly its
+    finite entries and B_j contributes len(supp B_j) at a finite y_j."""
+    finite = [NEG_INF < e < POS_INF for e in xs]
     count = 0
-    for a, sa, b, sb, yj in zip(S.A.rows, S.A._support, S.B.rows, S.B._support, ys):
-        a, b = a.entries, b.entries
-        count += sum([a[i] < POS_INF and NEG_INF < xs[i] < POS_INF for i in sa])
+    for sa, sb, yj in zip(S.A._support, S.B._support, ys):
+        for i in sa:
+            if finite[i]:
+                count += 1
         if NEG_INF < yj < POS_INF:
-            count += sum([b[i] < POS_INF for i in sb])
+            count += len(sb)
     return count
 
 
-def _check_start(S, u):
-    if S.n != len(u):
-        raise DimensionError(f"system in dimension {S.n}, start has {len(u)}")
+def _check_start(S, u, max_iters, tol=None):
+    """The checks of every solver entry point, made before any sweep."""
+    n = S.A.ncols
+    if n != len(u.entries):
+        raise DimensionError(f"system in dimension {n}, start has {len(u)}")
+    if tol is not None and not 0 <= tol < POS_INF:
+        raise UnsupportedCaseError(f"tol must be finite and >= 0, got {tol!r}")
+    if max_iters < 0:
+        raise UnsupportedCaseError(f"max_iters must be >= 0, got {max_iters!r}")
 
 
 def _sweep(S):
@@ -260,11 +287,11 @@ def _sweep(S):
     and are dropped); None when a BottomOnly row annihilates."""
     rows = []
     for a, b in zip(S.A.rows, S.B.rows):
-        H = HalfSpace(a, b)
+        H = _halfspace(a, b)
         kind = classify(H)
-        if kind is Kind.BOTTOM_ONLY:
+        if kind is _BOTTOM_ONLY:
             return None
-        if kind is not Kind.EVERYTHING:
+        if kind is not _EVERYTHING:
             rows.append(canonicalize(H))
 
     def sweep(x, points, counting):
@@ -368,11 +395,7 @@ def _cyclic_run(S, u, step, keep_last, max_iters, tol, points=None,
 
 
 def _solve(S, u, make_step, keep_last, kind, max_iters, tol, keep_trace):
-    _check_start(S, u)
-    if tol is not None and not 0 <= tol < POS_INF:
-        raise UnsupportedCaseError(f"tol must be finite and >= 0, got {tol!r}")
-    if max_iters < 0:
-        raise UnsupportedCaseError(f"max_iters must be >= 0, got {max_iters!r}")
+    _check_start(S, u, max_iters, tol)
     points = [u] if keep_trace else None
     status, x, sweeps, additions, pinned, ends = _cyclic_run(
         S, u, make_step(S), keep_last, max_iters, tol, points)
@@ -439,12 +462,14 @@ def feasibility(S, u, max_iters=DEFAULT_MAX_ITERS, divergence_cap=None):
     BottomReached gives "OnlyBottom", and pinned carries the
     coordinates the guard set to -inf.  divergence_cap replaces
     default_divergence_cap in the floor min(u) - n * divergence_cap.
-    Raises UnsupportedCaseError for a non-finite start, MaxplusError
-    after max_iters sweeps.
+    Raises UnsupportedCaseError for a non-finite start or a negative
+    max_iters, before any sweep, and MaxplusError after max_iters
+    sweeps.
     """
-    _check_start(S, u)
-    if not all(NEG_INF < e < POS_INF for e in u.entries):
-        raise UnsupportedCaseError("feasibility needs a finite starting point")
+    _check_start(S, u, max_iters)
+    for e in u.entries:
+        if not NEG_INF < e < POS_INF:
+            raise UnsupportedCaseError("feasibility needs a finite starting point")
     status, x, _, _, pinned, _ = _cyclic_run(S, u, _sweep(S), True, max_iters, None,
                                              divergence_cap=divergence_cap)
     pinned = tuple(sorted(pinned))

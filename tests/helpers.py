@@ -15,7 +15,7 @@ import maxplus as mp
 from maxplus.errors import (InfiniteDistanceError, MaxplusError, ParseError,
                             PointInSetError, UnsupportedCaseError)
 from maxplus.extreal import parse_scalar
-from maxplus.halfspace import _prepared
+from maxplus.halfspace import _prepared, project_canonical
 
 NEG = mp.NEG_INF
 POS = mp.POS_INF
@@ -550,6 +550,38 @@ def reference_power_step(S):
                 count += sum(finite(bi) for bi in b)
         return nxt, count
     return step
+
+
+def reference_sweep(S):
+    """The cyclic step from rows built through the public, checking
+    constructor: canonicalize(HalfSpace(a, b)) for every proper row,
+    Everything rows dropped, None when a row is BottomOnly.  Finite
+    additions are counted entry by entry over the dense a' and b': one
+    per finite a'_i at a finite x_i, then one per finite b'_j when
+    t = a'x is finite."""
+    rows = []
+    for a, b in zip(S.A.rows, S.B.rows):
+        H = mp.HalfSpace(list(a), list(b))
+        kind = mp.classify(H)
+        if kind is mp.Kind.BOTTOM_ONLY:
+            return None
+        if kind is mp.Kind.PROPER:
+            rows.append(mp.canonicalize(H))
+
+    def sweep(x, points, counting):
+        count = 0
+        for C in rows:
+            if counting:
+                a, b = C.a_prime, C.b_prime
+                count += sum(finite(ai) and finite(xi) for ai, xi in zip(a, x))
+                if finite(mp.row_apply(a, x)):
+                    count += sum(finite(bj) for bj in b)
+            nxt = project_canonical(C, x)
+            if points is not None and nxt is not x:
+                points.append(nxt)
+            x = nxt
+        return x, count
+    return sweep
 
 
 def typed_report(r):

@@ -445,18 +445,40 @@ def test_solve_and_compare_refuse_a_bad_tol_or_max_iters(files, capsys, monkeypa
     u = files("u.txt", "2\n5 5\n")
     for command in (["solve"], ["solve", "--method", "power"], ["compare"]):
         argv = command + ["--a", a, "--b", b, "--init", u, "--output", "json"]
-        for extra, message in ((["--tol", "nan"], "tol must be finite and >= 0"),
-                               (["--tol", "inf"], "tol must be finite and >= 0"),
-                               (["--tol", "-1"], "tol must be finite and >= 0"),
-                               (["--max-iters", "-3"], "max_iters must be >= 0")):
-            rc, out, err = run(capsys, argv + ["--mode", "float"] + extra)
-            assert (rc, out) == (2, "") and message in err, (command, extra)
+        # the files hold integers only, so without --mode the run is in
+        # int mode, where --tol is not used but still checked
+        for mode in (["--mode", "float"], ["--mode", "int"], []):
+            for extra, message in ((["--tol", "nan"], "tol must be finite and >= 0"),
+                                   (["--tol", "inf"], "tol must be finite and >= 0"),
+                                   (["--tol", "-1"], "tol must be finite and >= 0"),
+                                   (["--max-iters", "-3"], "max_iters must be >= 0")):
+                rc, out, err = run(capsys, argv + mode + extra)
+                assert (rc, out) == (2, "") and message in err, (command, mode, extra)
         monkeypatch.setenv("MPS_MAX_ITERS", "-3")
         rc, out, err = run(capsys, argv)
         assert (rc, out) == (2, "") and "max_iters must be >= 0" in err
         monkeypatch.delenv("MPS_MAX_ITERS")
         rc, out, _ = run(capsys, argv + ["--mode", "float", "--tol", "0"])
         assert rc == 1 and "BottomReached" in out
+
+
+def test_int_mode_runs_exactly_under_a_valid_tol(files, capsys):
+    # x0 >= x1 + 1, x1 >= x0 from (5, 5): each sweep lowers both entries
+    # by 1.  In float mode --tol 2 stops after the first sweep; in int
+    # mode, chosen or inferred, a valid --tol is accepted and the run is
+    # exact, byte for byte the run without it
+    a = files("A.txt", "2 2\n0 -inf\n-inf 0\n")
+    b = files("B.txt", "2 2\n-inf 1\n0 -inf\n")
+    u = files("u.txt", "2\n5 5\n")
+    for command in (["solve", "--method", "both"], ["compare"]):
+        argv = command + ["--a", a, "--b", b, "--init", u, "--output", "json"]
+        exact = run(capsys, argv)
+        assert exact[0] == 1 and "BottomReached" in exact[1]
+        for mode in (["--mode", "int"], []):
+            for tol in ("0", "2", "1e300"):
+                assert run(capsys, argv + mode + ["--tol", tol]) == exact, (mode, tol)
+        _, out, _ = run(capsys, argv + ["--mode", "float", "--tol", "2"])
+        assert '"Solved"' in out and "BottomReached" not in out
 
 
 def test_mode_inference_matches_one_generator():

@@ -2,6 +2,7 @@
 projection, distance, and the best-approximation set."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -64,6 +65,26 @@ def test_canonicalize_known_values():
 
     C = mp.canonicalize(mp.HalfSpace([0, 0], [1, NEG]))
     assert C.a_prime == v(NEG, 0) and C.b_prime == v(1, NEG)
+
+
+def test_canonical_form_is_a_value():
+    # == and hash compare (n, a_pairs, b_pairs), as tuples compare: equal
+    # payloads of two types are equal; the repr names every field
+    C = mp.canonicalize(mp.HalfSpace([NEG, -1, 0.5], [Fraction(-1, 2), NEG, 1]))
+    assert repr(C) == ("CanonicalHalfSpace(n=3, a_pairs=((1, -1),), "
+                       "b_pairs=((0, Fraction(-1, 2)), (2, 1)))")
+    same = mp.CanonicalHalfSpace(3, ((1, -1.0),), ((0, -0.5), (2, 1)))
+    assert C == same and not C != same and C is not same
+    assert hash(C) == hash(same) == hash((3, ((1, -1),), ((0, Fraction(-1, 2)), (2, 1))))
+    assert {C: 1}[same] == 1
+    for other in (mp.CanonicalHalfSpace(4, C.a_pairs, C.b_pairs),
+                  mp.CanonicalHalfSpace(3, C.b_pairs, C.a_pairs),
+                  mp.CanonicalHalfSpace(3, C.a_pairs, C.b_pairs[:1])):
+        assert C != other and not C == other
+    assert C != (3, C.a_pairs, C.b_pairs) and C.__eq__((3,)) is NotImplemented
+    assert mp.CanonicalHalfSpace(n=3, a_pairs=C.a_pairs, b_pairs=C.b_pairs) == C
+    # slotted: no per-object dict
+    assert not hasattr(C, "__dict__")
 
 
 def _check_form(H):

@@ -16,7 +16,7 @@ from helpers import (NEG, POS, RING_CYCLIC_STEPS, RING_LIMIT,
                      RING_POWER_STEPS, chain_system, chase_system,
                      dense_system, finite, planted_system,
                      reference_greatest_solution, reference_power_step,
-                     ring_ineq_system, typed_report, v)
+                     reference_sweep, ring_ineq_system, typed, typed_report, v)
 
 U6 = v(0, 0, 0, 0, 0, 0)
 
@@ -471,6 +471,66 @@ def test_power_step_matches_the_three_kernels():
     assert len(seen) >= 4
 
 
+def planted_rows_case(rng):
+    """(S, u, tol, max_iters): payloads of one kind (or mixed) with -inf
+    entries, some rows planted Everything (b below a) or BottomOnly (a
+    all -inf, b finite), and a start that may hold +-inf entries."""
+    n, p = rng.randint(1, 6), rng.randint(0, 6)
+    kind = rng.choice(("int", "Fraction", "float", "mixed"))
+    p_neg = rng.choice((0.1, 0.3, 0.5))
+    A, B = ([[solver_entry(rng, kind, p_neg) for _ in range(n)] for _ in range(p)]
+            for _ in "AB")
+    for j in range(p):
+        r = rng.random()
+        if r < 0.15:
+            B[j] = [e - 1 if finite(e) else NEG for e in A[j]]
+        elif r < 0.2:
+            A[j] = [NEG] * n
+            B[j] = [solver_entry(rng, kind, 0.0) for _ in range(n)]
+    S = mp.InequalitySystem(mp.matrix(A, ncols=n), mp.matrix(B, ncols=n))
+    start_inf = rng.choice((0.0, 0.0, 0.3))
+    u = mp.vector([rng.choice((NEG, POS)) if rng.random() < start_inf
+                   else solver_entry(rng, kind, 0.0) for _ in range(n)])
+    return S, u, rng.choice((None, None, 0.5, 2.0)), rng.choice((3, 40, 400))
+
+
+def test_solvers_match_the_checked_references():
+    # cyclic_solve against sweeps over rows built by HalfSpace(a, b),
+    # power_solve against the three kernels, both with additions counted
+    # entry by entry, traced and untraced, payload types included;
+    # feasibility against the reference cyclic run
+    rng = random.Random(15)
+    seen = set()
+    for case in range(600):
+        S, u, tol, max_iters = planted_rows_case(rng)
+        for solve, step, keep_last, kind in (
+                (mp.cyclic_solve, reference_sweep, True, "cyclic"),
+                (mp.power_solve, reference_power_step, False, "power")):
+            for keep_trace in (False, True):
+                got = solve(S, u, max_iters=max_iters, tol=tol, keep_trace=keep_trace)
+                want = solvers._solve(S, u, step, keep_last, kind, max_iters, tol,
+                                      keep_trace)
+                assert typed_report(got) == typed_report(want), (case, kind, keep_trace)
+                seen.add((kind, got.status, bool(got.pinned)))
+        want = solvers._solve(S, u, reference_sweep, True, "cyclic", max_iters, None,
+                              False)
+        if not all(finite(e) for e in u):
+            with pytest.raises(UnsupportedCaseError, match="finite starting point"):
+                mp.feasibility(S, u, max_iters=max_iters)
+            continue
+        if want.status is Status.ITERATION_CAP_HIT:
+            with pytest.raises(MaxplusError, match="no fixed point within"):
+                mp.feasibility(S, u, max_iters=max_iters)
+            continue
+        f = mp.feasibility(S, u, max_iters=max_iters)
+        witness = want.solution if want.status is Status.SOLVED else None
+        assert (f.status, typed([witness]), f.pinned) == (
+            "FiniteSolution" if witness is not None else "OnlyBottom",
+            typed([witness]), want.pinned), case
+        seen.add(("feasibility", f.status, bool(f.pinned)))
+    assert len(seen) >= 12, sorted(map(str, seen))
+
+
 def test_solvers_refuse_a_bad_tol_or_max_iters():
     # x0 >= x1 + 1, x1 >= x0: only bottom.  A NaN or infinite tol passed
     # every stop test (a point that is no solution came back Solved), a
@@ -490,3 +550,52 @@ def test_solvers_refuse_a_bad_tol_or_max_iters():
         assert solve(S, u, tol=-0.0).status is Status.BOTTOM_REACHED
         r = solve(S, u, max_iters=0)
         assert (r.status, r.iterations, r.solution) == (Status.ITERATION_CAP_HIT, 0, u)
+    # feasibility refuses the cap before any sweep, instead of blaming the
+    # system for a fixed point it never looked for
+    for max_iters in (-1, -3):
+        with pytest.raises(UnsupportedCaseError, match="max_iters must be >= 0"):
+            mp.feasibility(S, u, max_iters=max_iters)
+    with pytest.raises(MaxplusError, match="no fixed point within 0 sweeps"):
+        mp.feasibility(S, u, max_iters=0)
+    assert mp.feasibility(S, u).status == "OnlyBottom"
+
+
+def spectator_chase(m):
+    """The chase pair on x0 and x1 plus the row x2 + m >= x3 (n = 4)."""
+    return mp.InequalitySystem(
+        mp.matrix([[NEG, -1, NEG, NEG], [-1, NEG, NEG, NEG], [NEG, NEG, m, NEG]]),
+        mp.matrix([[0, NEG, NEG, NEG], [NEG, 0, NEG, NEG], [NEG, NEG, NEG, 0]]))
+
+
+def test_finite_limit_coordinates_lie_above_the_sound_floor():
+    # every finite coordinate of the limit from a finite u is at least
+    # min(u) - 2 (n - 1) M, M the largest finite entry magnitude of A and
+    # B: a lower coordinate leaves a gap wider than 2M among the finite
+    # coordinates below min(u), and raising all those under the gap
+    # would give a greater solution below u.  The guard's own floor,
+    # min(u) - n (n + p + 2) (M + 1), lies far lower.
+    def check(S, u):
+        A, B = S.A.rows, S.B.rows
+        m = max([0] + [abs(e) for r in A + B for e in r if finite(e)])
+        floor = min(u) - 2 * (len(u) - 1) * m
+        rc, rp = mp.cyclic_solve(S, u), mp.power_solve(S, u)
+        assert rc.solution == rp.solution
+        low = [e for e in rc.solution if finite(e)]
+        assert all(e >= floor for e in low), (S, u, rc.solution)
+        return bool(low) and min(low) == floor
+
+    rng = random.Random(97)
+    for _ in range(2000):
+        A, B, u = dense_system(rng, 5, 5, -3, 3)
+        check(mp.InequalitySystem(mp.matrix(A), mp.matrix(B)), mp.vector(u))
+    for m in (10, 100):
+        for u in (v(0, 0, 0, 0), v(3, -2, -m, 5 * m), v(0, 0, m, -m)):
+            check(spectator_chase(m), u)
+    # the floor is attained: the chain x_k - m >= x_{k+1} + m from 0
+    # ends at x_{n-1} = -2 (n - 1) m
+    for n in (2, 4, 6):
+        for m in (1, 5):
+            A = [[-m if i == k else NEG for i in range(n)] for k in range(n - 1)]
+            B = [[m if i == k + 1 else NEG for i in range(n)] for k in range(n - 1)]
+            S = mp.InequalitySystem(mp.matrix(A, ncols=n), mp.matrix(B, ncols=n))
+            assert check(S, mp.vector([0] * n)), (n, m)
