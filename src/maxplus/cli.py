@@ -26,6 +26,10 @@ already lies in the set"); 1 when a solve ends in BottomReached or
 IterationCapHit; 2 for unusable input (parse errors with line/column,
 dimension mismatches, wrong option combinations).
 
+Each command reads its files, in the order it declares them, before it
+runs (distance reads --point first), and the first file that cannot be
+read or parsed ends the call with exit status 2.
+
 Indices in all output are 0-based.
 """
 
@@ -42,19 +46,28 @@ from . import solvers
 from .errors import (InfiniteDistanceError, MaxplusError, PointInSetError,
                      UnsupportedCaseError)
 from .extreal import NEG_INF, POS_INF, format_scalar
+from .halfspace import parse_halfspace
+from .semimodule import parse_generators
 from .tropical_linalg import format_vector, parse_matrix, parse_vector
 
 DEFAULT_TOL = 1e-9
 
+# the reader of each input option's file, by name: _load looks it up at
+# call time, so a wrapped or replaced reader is seen
+READERS = {"a": "parse_matrix", "b": "parse_matrix", "init": "parse_vector",
+           "halfspace": "parse_halfspace", "generators": "parse_generators",
+           "point": "parse_vector"}
 
-def _load(args, parse, path):
-    """Read one input file and parse it under the requested mode."""
+
+def _load(args, option):
+    """Read the file of one input option and parse it under args.mode."""
+    path = getattr(args, option)
     try:
         with open(path, "r", encoding="utf-8") as f:
             text = f.read()
     except OSError as e:
         raise MaxplusError(f"cannot read {path}: {e.strerror}") from None
-    return parse(text, args.mode)
+    return globals()[READERS[option]](text, args.mode)
 
 
 def _all_integral(A, B, u):
@@ -67,24 +80,26 @@ def _all_integral(A, B, u):
     return True
 
 
-def _resolve_mode(args, A, B, u):
-    """Fill in args.mode/args.tol after parsing: int mode means exact
-    termination (tol None), float mode uses --tol.  --tol is checked
-    first, as the solvers check it, so it means the same in both modes."""
+def _solve(args, A, B, u, methods, keep_trace):
+    """{method: report} for each method run on A x >= B x from u, the
+    step solve and compare share.  --tol is checked first, as the
+    solvers check it, so it means the same in both modes; then
+    args.mode/args.tol are filled in: int mode means exact termination
+    (tol None), float mode uses --tol."""
     if args.tol is not None and not 0 <= args.tol < POS_INF:
         raise UnsupportedCaseError(f"tol must be finite and >= 0, got {args.tol!r}")
     if args.mode is None:
         args.mode = "int" if _all_integral(A, B, u) else "float"
     args.tol = None if args.mode == "int" else (
         args.tol if args.tol is not None else DEFAULT_TOL)
+    S, cap = solvers.InequalitySystem(A, B), _max_iters(args)
+    run = {"cyclic": solvers.cyclic_solve, "power": solvers.power_solve}
+    return {m: run[m](S, u, max_iters=cap, tol=args.tol, keep_trace=keep_trace)
+            for m in methods}
 
 
 def _tokens(x):
     return [format_scalar(e) for e in x]
-
-
-def _print_vector(x):
-    sys.stdout.write(format_vector(x))
 
 
 def _emit(args, payload, text):
@@ -137,99 +152,64 @@ def _solver_exit(*reports):
     return 0 if all(r.status is solvers.Status.SOLVED for r in reports) else 1
 
 
-def cmd_solve(args):
-    A = _load(args, parse_matrix, args.a)
-    B = _load(args, parse_matrix, args.b)
-    u = _load(args, parse_vector, args.init)
-    _resolve_mode(args, A, B, u)
-    S = solvers.InequalitySystem(A, B)
-    cap = _max_iters(args)
+def cmd_solve(args, A, B, u):
     methods = ["cyclic", "power"] if args.method == "both" else [args.method]
-    run = {"cyclic": solvers.cyclic_solve, "power": solvers.power_solve}
-    reports = {m: run[m](S, u, max_iters=cap, tol=args.tol,
-                         keep_trace=args.trace) for m in methods}
-    if args.output == "json":
-        if len(reports) == 1:
-            payload = _report_json(reports[args.method])
-        else:
-            payload = {m: _report_json(r) for m, r in reports.items()}
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for m in methods:
-            _print_report(m, reports[m])
+    reports = _solve(args, A, B, u, methods, args.trace)
+    payload = {m: _report_json(r) for m, r in reports.items()}
+
+    def text():
+        for m, r in reports.items():
+            _print_report(m, r)
+
+    _emit(args, payload if len(payload) > 1 else payload[args.method], text)
     return _solver_exit(*reports.values())
 
 
-def cmd_compare(args):
-    A = _load(args, parse_matrix, args.a)
-    B = _load(args, parse_matrix, args.b)
-    u = _load(args, parse_vector, args.init)
-    _resolve_mode(args, A, B, u)
-    S = solvers.InequalitySystem(A, B)
-    cap = _max_iters(args)
-    cyc = solvers.cyclic_solve(S, u, max_iters=cap, tol=args.tol, keep_trace=True)
-    pow_ = solvers.power_solve(S, u, max_iters=cap, tol=args.tol, keep_trace=True)
+def cmd_compare(args, A, B, u):
+    reports = _solve(args, A, B, u, ("cyclic", "power"), True)
+    cyc, pow_ = reports.values()
     agree = cyc.solution == pow_.solution
     sandwich = solvers.sandwich_check(cyc, pow_) if args.tol is None else None
-
-    def side(report):
-        d = _report_json(report)
-        d["finite_additions"] = report.finite_additions
-        return d
-
-    payload = {
-        "cyclic": side(cyc),
-        "power": side(pow_),
-        "solutions_agree": agree,
-        "sandwich": sandwich,
-    }
+    payload = {m: {**_report_json(r), "finite_additions": r.finite_additions}
+               for m, r in reports.items()}
+    payload.update(solutions_agree=agree, sandwich=sandwich)
 
     def text():
-        _print_report("cyclic", cyc)
-        print(f"finite additions: {cyc.finite_additions}")
-        _print_report("power", pow_)
-        print(f"finite additions: {pow_.finite_additions}")
+        for m, r in reports.items():
+            _print_report(m, r)
+            print(f"finite additions: {r.finite_additions}")
         print(f"solutions agree: {agree}")
         if sandwich is not None:
             print(f"sandwich holds: {sandwich}")
 
     _emit(args, payload, text)
-    if not agree:
-        return 1
-    return _solver_exit(cyc, pow_)
+    return _solver_exit(cyc, pow_) if agree else 1
 
 
-def cmd_project_halfspace(args):
-    H = _load(args, hs.parse_halfspace, args.halfspace)
-    x = _load(args, parse_vector, args.point)
-    P = hs.project(H, x)
-    _emit(args, {"projection": _tokens(P)}, lambda: _print_vector(P))
+def _emit_projection(args, P):
+    _emit(args, {"projection": _tokens(P)}, lambda: sys.stdout.write(format_vector(P)))
     return 0
 
 
-def cmd_project_semimodule(args):
-    V = _load(args, sm.parse_generators, args.generators)
-    x = _load(args, parse_vector, args.point)
-    P = sm.project(V, x)
-    _emit(args, {"projection": _tokens(P)}, lambda: _print_vector(P))
-    return 0
+def cmd_project_halfspace(args, H, x):
+    return _emit_projection(args, hs.project(H, x))
 
 
-def cmd_distance(args):
-    x = _load(args, parse_vector, args.point)
-    if args.halfspace:
-        H = _load(args, hs.parse_halfspace, args.halfspace)
-        d = hs.distance(H, x)
+def cmd_project_semimodule(args, V, x):
+    return _emit_projection(args, sm.project(V, x))
+
+
+def cmd_distance(args, x, target):
+    if isinstance(target, hs.HalfSpace):
+        d = hs.distance(target, x)
     else:
-        V = _load(args, sm.parse_generators, args.generators)
-        d = sm.distance_to(V, x)
+        d = sm.distance_to(target, x)
     _emit(args, {"distance": format_scalar(d)},
           lambda: print(format_scalar(d)))
     return 0
 
 
-def cmd_canonicalize(args):
-    H = _load(args, hs.parse_halfspace, args.halfspace)
+def cmd_canonicalize(args, H):
     C = hs.canonicalize(H)
     apex, sectors = hs.apex_and_sectors(C)
     payload = {
@@ -270,9 +250,7 @@ def _face_json(face, memo):
             "box": box}
 
 
-def cmd_best_approx(args):
-    H = _load(args, hs.parse_halfspace, args.halfspace)
-    x = _load(args, parse_vector, args.point)
+def cmd_best_approx(args, H, x):
     try:
         result = hs.best_approx_set(H, x)
     except PointInSetError:
@@ -307,9 +285,7 @@ def cmd_best_approx(args):
     return 0
 
 
-def cmd_separate(args):
-    V = _load(args, sm.parse_generators, args.generators)
-    x = _load(args, parse_vector, args.point)
+def cmd_separate(args, V, x):
     P = sm.project(V, x)
     if P == x:
         _emit(args, {"in_set": True},
@@ -360,80 +336,55 @@ def build_parser():
                     "semimodules.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, help, files, *options, solver=False):
+        """Declare a subcommand: its file options in the order main reads
+        them (a tuple is a required choice of one, added first), then
+        options, --mode and --output, and for a solver --tol and
+        --max-iters."""
+        p = sub.add_parser(name, help=help)
+        for f in sorted(files, key=lambda f: not isinstance(f, tuple)):
+            if isinstance(f, tuple):
+                g = p.add_mutually_exclusive_group(required=True)
+                for option in f:
+                    g.add_argument(f"--{option}", metavar="FILE")
+            else:
+                p.add_argument(f"--{f}", required=True, metavar="FILE")
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
         p.add_argument("--mode", choices=["int", "float"], default=None,
                        help="token domain and termination style "
                             "(default: inferred from the inputs)")
         p.add_argument("--output", choices=["text", "json"], default="text")
-        p.set_defaults(tol=None)
+        if solver:
+            p.add_argument("--tol", type=float, default=None,
+                           help=f"float-mode termination tolerance, finite "
+                                f"and >= 0 (default {DEFAULT_TOL})")
+            p.add_argument("--max-iters", type=int, default=None,
+                           help="sweep/step cap, >= 0 (env MPS_MAX_ITERS, "
+                                f"default {solvers.DEFAULT_MAX_ITERS})")
+        p.set_defaults(inputs=[o for f in files
+                               for o in (f if isinstance(f, tuple) else (f,))])
 
-    def solver_opts(p):
-        p.add_argument("--tol", type=float, default=None,
-                       help=f"float-mode termination tolerance, finite "
-                            f"and >= 0 (default {DEFAULT_TOL})")
-        p.add_argument("--max-iters", type=int, default=None,
-                       help="sweep/step cap, >= 0 (env MPS_MAX_ITERS, default "
-                            f"{solvers.DEFAULT_MAX_ITERS})")
-
-    p = sub.add_parser("solve", help="greatest solution of Ax >= Bx below u")
-    p.add_argument("--a", required=True, metavar="FILE")
-    p.add_argument("--b", required=True, metavar="FILE")
-    p.add_argument("--init", required=True, metavar="FILE")
-    p.add_argument("--method", choices=["cyclic", "power", "both"],
-                   default="cyclic")
-    p.add_argument("--trace", action="store_true")
-    common(p)
-    solver_opts(p)
-
-    p = sub.add_parser("compare",
-                       help="run both methods, check the sandwich property, "
-                            "count finite additions")
-    p.add_argument("--a", required=True, metavar="FILE")
-    p.add_argument("--b", required=True, metavar="FILE")
-    p.add_argument("--init", required=True, metavar="FILE")
-    common(p)
-    solver_opts(p)
-
-    p = sub.add_parser("project-halfspace",
-                       help="greatest element of a half-space below a point")
-    p.add_argument("--halfspace", required=True, metavar="FILE")
-    p.add_argument("--point", required=True, metavar="FILE")
-    common(p)
-
-    p = sub.add_parser("project-semimodule",
-                       help="greatest element of a generated semimodule "
-                            "below a point")
-    p.add_argument("--generators", required=True, metavar="FILE")
-    p.add_argument("--point", required=True, metavar="FILE")
-    common(p)
-
-    p = sub.add_parser("distance",
-                       help="projective distance from a point to a "
-                            "half-space or semimodule")
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--halfspace", metavar="FILE")
-    g.add_argument("--generators", metavar="FILE")
-    p.add_argument("--point", required=True, metavar="FILE")
-    common(p)
-
-    p = sub.add_parser("canonicalize",
-                       help="disjoint-support form, apex, and sectors")
-    p.add_argument("--halfspace", required=True, metavar="FILE")
-    common(p)
-
-    p = sub.add_parser("best-approx",
-                       help="all nearest points of a half-space")
-    p.add_argument("--halfspace", required=True, metavar="FILE")
-    p.add_argument("--point", required=True, metavar="FILE")
-    common(p)
-
-    p = sub.add_parser("separate",
-                       help="universal half-space containing the semimodule "
-                            "and excluding the point")
-    p.add_argument("--generators", required=True, metavar="FILE")
-    p.add_argument("--point", required=True, metavar="FILE")
-    common(p)
-
+    system = ("a", "b", "init")
+    command("solve", "greatest solution of Ax >= Bx below u", system,
+            ("--method", {"choices": ["cyclic", "power", "both"],
+                          "default": "cyclic"}),
+            ("--trace", {"action": "store_true"}), solver=True)
+    command("compare", "run both methods, check the sandwich property, "
+                       "count finite additions", system, solver=True)
+    command("project-halfspace", "greatest element of a half-space below "
+                                 "a point", ("halfspace", "point"))
+    command("project-semimodule", "greatest element of a generated "
+                                  "semimodule below a point",
+            ("generators", "point"))
+    command("distance", "projective distance from a point to a half-space "
+                        "or semimodule", ("point", ("halfspace", "generators")))
+    command("canonicalize", "disjoint-support form, apex, and sectors",
+            ("halfspace",))
+    command("best-approx", "all nearest points of a half-space",
+            ("halfspace", "point"))
+    command("separate", "universal half-space containing the semimodule "
+                        "and excluding the point", ("generators", "point"))
     return parser
 
 
@@ -451,7 +402,11 @@ def main(argv=None):
     # looked up at call time, so a wrapped or replaced cmd_* is seen
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return command(args)
+        # every declared file that was given (distance gets one of
+        # --halfspace and --generators), read before the command runs
+        inputs = [_load(args, o) for o in args.inputs
+                  if getattr(args, o) is not None]
+        return command(args, *inputs)
     except (MaxplusError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

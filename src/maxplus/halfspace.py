@@ -52,8 +52,8 @@ reader sees no pair or the whole pair.  Nothing invalidates it:
 half-spaces, their canonical forms and vectors are immutable, and no
 code assigns their attributes after construction (tropical_linalg._vec
 and _halfspace only fill a new object).  CanonicalHalfSpace is a
-slotted value class like HalfSpace: == and hash compare (n, a_pairs,
-b_pairs), and it is built through its class name.
+slotted value dataclass: == and hash compare (n, a_pairs, b_pairs),
+and it is built through its class name.
 
 HalfSpace(a, b) checks its coefficients.  The rows of an
 InequalitySystem are checked once, when the system is built, and the
@@ -133,6 +133,7 @@ def _halfspace(a, b):
     return H
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class CanonicalHalfSpace:
     """Coefficients with disjoint supports defining the same set, in
     dimension n.  a_pairs / b_pairs are the ascending (index,
@@ -141,25 +142,9 @@ class CanonicalHalfSpace:
     Everything H keeps in _form has J empty).  A value: == and hash
     compare (n, a_pairs, b_pairs)."""
 
-    __slots__ = ("n", "a_pairs", "b_pairs")
-
-    def __init__(self, n, a_pairs, b_pairs):
-        self.n = n
-        self.a_pairs = a_pairs
-        self.b_pairs = b_pairs
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.n, self.a_pairs, self.b_pairs)
-                == (other.n, other.a_pairs, other.b_pairs))
-
-    def __hash__(self):
-        return hash((self.n, self.a_pairs, self.b_pairs))
-
-    def __repr__(self):
-        return (f"CanonicalHalfSpace(n={self.n!r}, a_pairs={self.a_pairs!r}, "
-                f"b_pairs={self.b_pairs!r})")
+    n: int
+    a_pairs: tuple
+    b_pairs: tuple
 
     @property
     def I(self):

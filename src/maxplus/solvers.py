@@ -178,8 +178,8 @@ class _Guard:
 
     __slots__ = ("S", "u", "cap", "watch", "pinned")
 
-    def __init__(self, S, u, divergence_cap=None):
-        self.S, self.u, self.cap, self.pinned = S, u, divergence_cap, set()
+    def __init__(self, S, u):
+        self.S, self.u, self.cap, self.pinned = S, u, None, set()
         self.watch = NEG_INF
         xs = u.entries
         p = len(S.A.rows)
@@ -189,8 +189,7 @@ class _Guard:
             if not NEG_INF < e < POS_INF:
                 return
         n = len(xs)
-        self.watch = min(xs) - n * (2 * (n + p + 2) if divergence_cap is None
-                                    else divergence_cap)
+        self.watch = min(xs) - n * 2 * (n + p + 2)
 
     def cut(self, x):
         """x with every finite entry below the floor at -inf; None when
@@ -338,8 +337,7 @@ def _power_step(S):
     return step
 
 
-def _cyclic_run(S, u, step, keep_last, max_iters, tol, points=None,
-                divergence_cap=None):
+def _cyclic_run(S, u, step, keep_last, max_iters, tol, points=None):
     """The one guarded loop, x <- step(x), of both solvers and
     feasibility.  Returns (status, x, sweeps, additions, pinned, ends);
     sweeps counts the steps that changed the iterate.
@@ -361,7 +359,7 @@ def _cyclic_run(S, u, step, keep_last, max_iters, tol, points=None,
                 points.append(bot)
             ends.append(len(points) - 1)
         return Status.BOTTOM_REACHED, bot, int(moved), 0, (), ends
-    guard = _Guard(S, u, divergence_cap)
+    guard = _Guard(S, u)
     x = u
     pattern, lo, hi = _scan(x)
     sweeps = additions = 0
@@ -454,28 +452,24 @@ def default_divergence_cap(S, u):
     return (S.n + S.p + 2) * (m + 1)
 
 
-def feasibility(S, u, max_iters=DEFAULT_MAX_ITERS, divergence_cap=None):
+def feasibility(S, u, max_iters=DEFAULT_MAX_ITERS):
     """Whether some nonbottom solution lies below the finite start u.
 
     The guarded cyclic run of cyclic_solve, read as a certificate:
     Solved gives "FiniteSolution" with the limit as witness,
     BottomReached gives "OnlyBottom", and pinned carries the
-    coordinates the guard set to -inf.  divergence_cap replaces
-    default_divergence_cap in the floor min(u) - n * divergence_cap.
-    Raises UnsupportedCaseError for a non-finite start or a negative
-    max_iters, before any sweep, and MaxplusError after max_iters
-    sweeps.
+    coordinates the guard set to -inf.  Raises UnsupportedCaseError for
+    a non-finite start or a negative max_iters, before any sweep, and
+    MaxplusError after max_iters sweeps.
     """
     _check_start(S, u, max_iters)
     for e in u.entries:
         if not NEG_INF < e < POS_INF:
             raise UnsupportedCaseError("feasibility needs a finite starting point")
-    status, x, _, _, pinned, _ = _cyclic_run(S, u, _sweep(S), True, max_iters, None,
-                                             divergence_cap=divergence_cap)
+    status, x, _, _, pinned, _ = _cyclic_run(S, u, _sweep(S), True, max_iters, None)
     pinned = tuple(sorted(pinned))
     if status is Status.SOLVED:
         return FeasibilityResult("FiniteSolution", x, pinned)
     if status is Status.BOTTOM_REACHED:
         return FeasibilityResult("OnlyBottom", None, pinned)
-    raise MaxplusError(f"no fixed point within {max_iters} sweeps; "
-                       "raise max_iters or lower divergence_cap")
+    raise MaxplusError(f"no fixed point within {max_iters} sweeps; raise max_iters")

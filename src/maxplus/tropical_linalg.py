@@ -259,7 +259,10 @@ def parse_rows(text, mode=None, nrows=None):
 
     The count line is "n" when nrows is given and "p n" otherwise, and
     p = nrows rows follow.  Blank lines are ignored, so a row of width
-    0 takes no line.  Returns (rows, n), rows a tuple of vectors.
+    0 takes no line.  Returns (rows, n), rows a tuple of vectors.  A
+    count line "p 0" may name at most len(text) rows, so memory stays
+    bounded by the input; format_rows writes one line per row, so every
+    text it writes still reads back.
 
     Tokens are the maximal runs of characters that are not str.isspace
     (line.split()); the grammar of each is parse_scalar's.  Outside
@@ -290,6 +293,9 @@ def parse_rows(text, mode=None, nrows=None):
                              line=lineno, column=_column(line, k))
     n = int(toks[-1])
     p = int(toks[0]) if nrows is None else nrows
+    if not n and nrows is None and p > len(text):
+        raise ParseError(f"{p} rows of width 0 exceed the {len(text)} characters "
+                         "of the input", line=lineno, column=_column(line, 0))
     number = float if mode == "float" else int
     rows = []
     for _ in range(p):

@@ -488,6 +488,9 @@ def reference_parse_rows(text, mode=None, nrows=None):
                              line=lineno, column=c)
     n = int(toks[-1][0])
     p = int(toks[0][0]) if nrows is None else nrows
+    if not n and nrows is None and p > len(text):
+        raise ParseError(f"{p} rows of width 0 exceed the {len(text)} characters "
+                         "of the input", line=lineno, column=toks[0][1])
     rows = []
     for _ in range(p):
         lineno, toks = next(lines, (None, ())) if n else (0, ())

@@ -1,6 +1,7 @@
 """End-to-end checks of the command line front end: file parsing, JSON
 and text output, exit codes, mode inference, and the environment cap."""
 
+import argparse
 import json
 import random
 import re
@@ -640,3 +641,202 @@ def test_reused_parser_answers_like_a_fresh_one(files, capsys, monkeypatch):
     assert seen[1] == seen[3] == seen[-1] and "trace" not in seen[3][1]
     assert json.loads(seen[4][1])["iterations"] == 2
     assert json.loads(seen[5][1])["status"] == "Solved"
+
+
+# --- the CLI out of process -----------------------------------------------
+
+SYSTEM = {"A.txt": "2 3\n0 -inf -inf\n-inf 0 -inf\n",
+          "B.txt": "2 3\n-inf 1 -inf\n-inf -inf 0\n",
+          "u.txt": "3\n4 6 9\n"}
+SYSTEM_ARGV = ["--a", "A.txt", "--b", "B.txt", "--init", "u.txt"]
+
+# (files, argv, exit status, stdout): each case runs `python -m
+# maxplus.cli` in a new process, where nothing of an earlier call (a kept
+# projection, compiled rows, the parser) is reused
+FRESH_PROCESS_CASES = {
+    # x0 >= x1 + 1 and x1 >= x2 solved from u = (4, 6, 9) by both methods
+    "solve": (
+        SYSTEM, ["solve"] + SYSTEM_ARGV + ["--method", "both", "--output", "json"], 0,
+        '{"cyclic": {"iterations": 1, "solution": ["4", "3", "3"], "status": "Solved"}, '
+        '"power": {"iterations": 2, "solution": ["4", "3", "3"], "status": "Solved"}}\n'),
+    # the chase x0 <= x1 - 1, x1 <= x0 - 1 from u = 0: both methods sink
+    # until the divergence guard pins x0 and x1
+    "solve (guarded chase)": (
+        {"A.txt": "2 3\n-inf -1 -inf\n-1 -inf -inf\n",
+         "B.txt": "2 3\n0 -inf -inf\n-inf 0 -inf\n", "u.txt": "3\n0 0 0\n"},
+        ["solve"] + SYSTEM_ARGV + ["--method", "both", "--output", "json"], 0,
+        '{"cyclic": {"iterations": 22, "pinned": [0, 1], "solution": ["-inf", "-inf", "0"], '
+        '"status": "Solved"}, "power": {"iterations": 43, "pinned": [0, 1], '
+        '"solution": ["-inf", "-inf", "0"], "status": "Solved"}}\n'),
+    # the first system through compare: both traced runs, their finite
+    # additions and the sandwich verdict
+    "compare": (
+        SYSTEM, ["compare"] + SYSTEM_ARGV + ["--output", "json"], 0,
+        '{"cyclic": {"finite_additions": 15, "iterations": 1, "solution": ["4", "3", "3"], '
+        '"status": "Solved", "trace": [["4", "6", "9"], ["4", "3", "9"], ["4", "3", "3"]]}, '
+        '"power": {"finite_additions": 19, "iterations": 2, "solution": ["4", "3", "3"], '
+        '"status": "Solved", "trace": [["4", "6", "9"], ["4", "3", "6"], ["4", "3", "3"]]}, '
+        '"sandwich": true, "solutions_agree": true}\n'),
+    # the README separation example
+    "separate": (
+        {"V.txt": "3 3\n0 0 -inf\n-inf 0 -inf\n-inf -inf 0\n", "x.txt": "3\n2 1 0\n"},
+        ["separate", "--generators", "V.txt", "--point", "x.txt", "--output", "json"], 0,
+        '{"a": ["-inf", "-1", "0"], "b": ["-1", "-inf", "-inf"], "distance": "1", '
+        '"index_map": [0, 1, 2], "projection": ["1", "1", "0"], "reduced": false}\n'),
+    # a point with a -inf entry: separation after reduction to its support
+    "separate (reduced)": (
+        {"V.txt": "2 3\n0 0 0\n0 -inf -1\n", "x.txt": "3\n3 -inf 1\n"},
+        ["separate", "--generators", "V.txt", "--point", "x.txt", "--output", "json"], 0,
+        '{"a": ["-inf", "-1"], "b": ["-2", "-inf"], "distance": "1", "index_map": [0, 2], '
+        '"projection": ["2", "-inf", "1"], "reduced": true}\n'),
+    # the canonical form read off its pairs: a', b', I, J, apex, sectors
+    "canonicalize": (
+        {"H.txt": "3\n-2 -1 0\n-1 -1 0\n"},
+        ["canonicalize", "--halfspace", "H.txt", "--output", "json"], 0,
+        '{"I": [1, 2], "J": [0], "a_prime": ["-inf", "-1", "0"], "apex": ["1", "1", "0"], '
+        '"b_prime": ["-1", "-inf", "-inf"], "sectors": [{"a": ["-inf", "-1", "-inf"], '
+        '"b": ["-1", "-inf", "0"], "pivot": 1}, {"a": ["-inf", "-inf", "0"], '
+        '"b": ["-1", "-1", "-inf"], "pivot": 2}]}\n'),
+    # three faces (pivots 1, 2, 3) whose boxes share their bounds: a'x = 0
+    # is attained three times and b'x = 1 at index 0
+    "best-approx": (
+        {"H.txt": "4\n-inf -1 0 1/2\n-1 -inf -inf -inf\n", "x.txt": "4\n2 1 0 -1/2\n"},
+        ["best-approx", "--halfspace", "H.txt", "--point", "x.txt", "--output", "json"], 0,
+        '{"distance": "1", "faces": [{"box": {"2": ["-1", "0"], "3": ["-3/2", "-1/2"]}, '
+        '"fixed": {"0": "1", "1": "1"}, "pivot": 1}, {"box": {"1": ["0", "1"], '
+        '"3": ["-3/2", "-1/2"]}, "fixed": {"0": "1", "2": "0"}, "pivot": 2}, '
+        '{"box": {"1": ["0", "1"], "2": ["-1", "0"]}, "fixed": {"0": "1", "3": "-1/2"}, '
+        '"pivot": 3}]}\n'),
+    # a point with a -inf entry: only the third generator fits under it
+    "project-semimodule": (
+        {"V.txt": "3 4\n0 0 -inf 1\n-inf 0 -inf -2\n2 -inf 0 -inf\n",
+         "x.txt": "4\n3 1 2 -inf\n"},
+        ["project-semimodule", "--generators", "V.txt", "--point", "x.txt",
+         "--output", "json"], 0,
+        '{"projection": ["3", "-inf", "1", "-inf"]}\n'),
+    # float mode on files that mix 2.5, -INF and +inf tokens:
+    # x0 >= x1 + 2.5 and x1 >= x2 from u = (4, +inf, 9.5)
+    "solve (float tokens)": (
+        {"A.txt": "2 3\n0 -INF -inf\n-inf 0 -INF\n",
+         "B.txt": "2 3\n-inf 2.5 -inf\n-INF -inf 0\n", "u.txt": "3\n4 +inf 9.5\n"},
+        ["solve", "--mode", "float"] + SYSTEM_ARGV + ["--method", "both", "--output", "json"],
+        0,
+        '{"cyclic": {"iterations": 1, "solution": ["4.0", "1.5", "1.5"], "status": "Solved"}, '
+        '"power": {"iterations": 2, "solution": ["4.0", "1.5", "1.5"], "status": "Solved"}}\n'),
+    # --tol is checked before the mode is inferred: on integer files,
+    # where the run would be exact, a NaN tolerance still exits 2
+    "solve (bad tolerance in int mode)": (
+        SYSTEM, ["solve"] + SYSTEM_ARGV + ["--tol", "nan", "--output", "json"], 2, ""),
+}
+
+
+@pytest.mark.parametrize("case", FRESH_PROCESS_CASES)
+def test_cli_in_a_fresh_process(case, tmp_path, monkeypatch):
+    files, argv, status, stdout = FRESH_PROCESS_CASES[case]
+    for name, text in files.items():
+        (tmp_path / name).write_bytes(text.encode())
+    src = str(Path(mp.__file__).resolve().parents[1])
+    monkeypatch.setenv("PYTHONPATH", src)
+    monkeypatch.delenv("MPS_MAX_ITERS", raising=False)
+    proc = subprocess.run([sys.executable, "-m", "maxplus.cli"] + argv, cwd=tmp_path,
+                          capture_output=True)
+    assert (proc.returncode, proc.stdout) == (status, stdout.encode()), proc.stderr
+
+
+# --- the parser surface and the order files are read ------------------------
+
+MODE = (("--mode",), False, ["int", "float"], None, None, None,
+        "token domain and termination style (default: inferred from the inputs)",
+        "_StoreAction")
+OUTPUT = (("--output",), False, ["text", "json"], "text", None, None, None, "_StoreAction")
+SOLVER = [(("--tol",), False, None, None, float, None,
+           "float-mode termination tolerance, finite and >= 0 (default 1e-09)",
+           "_StoreAction"),
+          (("--max-iters",), False, None, None, int, None,
+           "sweep/step cap, >= 0 (env MPS_MAX_ITERS, default 100000)", "_StoreAction")]
+
+
+def file_option(name, required=True):
+    return ((f"--{name}",), required, None, None, None, "FILE", None, "_StoreAction")
+
+
+# recorded from the parser before its subcommands shared one declaration:
+# (help, [(option strings, required, choices, default, type, metavar,
+# help, action)], [(required, exclusive group)])
+PARSER_SURFACE = {
+    "solve": ("greatest solution of Ax >= Bx below u",
+              [file_option("a"), file_option("b"), file_option("init"),
+               (("--method",), False, ["cyclic", "power", "both"], "cyclic", None,
+                None, None, "_StoreAction"),
+               (("--trace",), False, None, False, None, None, None, "_StoreTrueAction"),
+               MODE, OUTPUT] + SOLVER, []),
+    "compare": ("run both methods, check the sandwich property, count finite additions",
+                [file_option("a"), file_option("b"), file_option("init"),
+                 MODE, OUTPUT] + SOLVER, []),
+    "project-halfspace": ("greatest element of a half-space below a point",
+                          [file_option("halfspace"), file_option("point"),
+                           MODE, OUTPUT], []),
+    "project-semimodule": ("greatest element of a generated semimodule below a point",
+                           [file_option("generators"), file_option("point"),
+                            MODE, OUTPUT], []),
+    "distance": ("projective distance from a point to a half-space or semimodule",
+                 [file_option("halfspace", False), file_option("generators", False),
+                  file_option("point"), MODE, OUTPUT],
+                 [(True, ["--halfspace", "--generators"])]),
+    "canonicalize": ("disjoint-support form, apex, and sectors",
+                     [file_option("halfspace"), MODE, OUTPUT], []),
+    "best-approx": ("all nearest points of a half-space",
+                    [file_option("halfspace"), file_option("point"), MODE, OUTPUT], []),
+    "separate": ("universal half-space containing the semimodule and excluding the point",
+                 [file_option("generators"), file_option("point"), MODE, OUTPUT], []),
+}
+
+
+def test_parser_surface_is_unchanged():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    got = {}
+    for name, p in sub.choices.items():
+        options = [(tuple(a.option_strings), a.required, a.choices, a.default, a.type,
+                     a.metavar, a.help, type(a).__name__)
+                   for a in p._actions if a.dest != "help"]
+        groups = [(g.required, [o for a in g._group_actions for o in a.option_strings])
+                  for g in p._mutually_exclusive_groups]
+        got[name] = (helps[name], options, groups)
+    assert list(got) == list(PARSER_SURFACE)
+    for name in PARSER_SURFACE:
+        assert got[name] == PARSER_SURFACE[name], name
+
+
+# each command's file options in the order it reads them
+READ_ORDER = [["solve", "a", "b", "init"], ["compare", "a", "b", "init"],
+              ["project-halfspace", "halfspace", "point"],
+              ["project-semimodule", "generators", "point"],
+              ["distance", "point", "halfspace"], ["distance", "point", "generators"],
+              ["canonicalize", "halfspace"], ["best-approx", "halfspace", "point"],
+              ["separate", "generators", "point"]]
+
+
+@pytest.mark.parametrize("command", READ_ORDER, ids=" ".join)
+def test_the_first_file_read_reports_its_error(command, tmp_path, capsys):
+    name, *options = command
+
+    def call(paths):
+        argv = [name]
+        for option in reversed(options):  # the reverse of the read order
+            argv += [f"--{option}", paths[option]]
+        return run(capsys, argv)
+
+    # every file missing: the error names the one read first
+    missing = {o: str(tmp_path / f"missing-{o}.txt") for o in options}
+    rc, out, err = call(missing)
+    assert (rc, out) == (2, "")
+    assert err == f"error: cannot read {missing[options[0]]}: No such file or directory\n"
+    # the first file unparsable, the others missing: its parse error
+    bad = dict(missing)
+    bad[options[0]] = str(tmp_path / "bad.txt")
+    Path(bad[options[0]]).write_text("bogus\n")
+    rc, out, err = call(bad)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and "line 1, column 1" in err and "cannot" not in err

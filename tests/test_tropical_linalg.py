@@ -4,6 +4,8 @@ import math
 import random
 import re
 import sys
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -218,6 +220,33 @@ def test_empty_dimensions_round_trip():
     assert mp.parse_vector(mp.format_vector(x)) == x
     for A in (mp.matrix([[], []]), mp.matrix([], ncols=0), mp.matrix([], ncols=3)):
         assert mp.parse_matrix(mp.format_matrix(A)) == A
+
+
+def test_width_0_row_count_is_bounded_by_the_input():
+    # a count line "p 0" may name at most len(text) rows, so a short
+    # text cannot ask for millions of empty rows
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        with pytest.raises(ParseError, match="99999999 rows of width 0") as e:
+            mp.parse_rows("99999999 0\n")
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (e.value.line, e.value.column) == (1, 1)
+    assert elapsed < 1 and peak < 10 * 2**20
+    # every text format_rows writes reads back, at the bound and past it
+    rng = random.Random(16)
+    for p in [0, 1, 2, 3, 4, 5, 99] + rng.sample(range(100, 20000), 5):
+        text = mp.format_rows((p, 0), [v()] * p)
+        assert mp.parse_rows(text) == ((v(),) * p, 0)
+        for cut in (text.rstrip("\n"), f"{p} 0", f"{p} 0\n"):
+            want = read_outcome(reference_parse_rows, cut, None, None)
+            assert read_outcome(mp.parse_rows, cut, None, None) == want
+            assert (want[0] == "rows") is (p <= len(cut)), cut
+    # a count given by the caller is not bounded by the text
+    assert mp.parse_rows("0", nrows=2) == ((v(), v()), 0)
 
 
 @given(st.lists(scalars, min_size=0, max_size=7))
