@@ -51,14 +51,15 @@ form per half-space, kept by a single attribute store, so a concurrent
 reader sees no pair or the whole pair.  Nothing invalidates it:
 half-spaces, their canonical forms and vectors are immutable, and no
 code assigns their attributes after construction (tropical_linalg._vec
-and _halfspace only fill a new object).  CanonicalHalfSpace is a
-slotted value dataclass: == and hash compare (n, a_pairs, b_pairs),
-and it is built through its class name.
+only fills a new object).  CanonicalHalfSpace is a slotted value
+dataclass: == and hash compare (n, a_pairs, b_pairs), and it is built
+through its class name.
 
 HalfSpace(a, b) checks its coefficients.  The rows of an
 InequalitySystem are checked once, when the system is built, and the
-solvers make each row's half-space with _halfspace, which checks
-nothing again.
+solvers read each row pair's kind and canonical form off its entry
+tuples with _row_form, the one pass behind _form, without building a
+HalfSpace or checking anything again.
 
 Indices are 0-based everywhere.
 """
@@ -120,17 +121,6 @@ class HalfSpace:
 
     def __repr__(self):
         return f"HalfSpace({self.a!r}, {self.b!r})"
-
-
-def _halfspace(a, b):
-    """A HalfSpace over two TropicalVectors of equal length without
-    +inf entries, such as a row pair of an InequalitySystem, which has
-    checked them already; nothing is checked again."""
-    H = object.__new__(HalfSpace)
-    H.a = a
-    H.b = b
-    H._form = None
-    return H
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -232,30 +222,37 @@ def contains(H, h):
 def _form(H):
     """(kind, canonical form or None) of H, computed once and kept.
 
-    One pass sorts each index to J (a_i < b_i) or, when a_i > -inf, to
-    I; the kind is read off |J|.  An Everything half-space keeps its
-    form as well (a' = a, b' bottom): with float and exact payloads
-    mixed, a rounded sum can still put a point outside it, and distance
-    and best approximation then read a'.
+    An Everything half-space keeps its form as well (a' = a, b'
+    bottom): with float and exact payloads mixed, a rounded sum can
+    still put a point outside it, and distance and best approximation
+    then read a'.
     """
     form = H._form
     if form is None:
-        a = H.a.entries
-        a_pairs = []
-        b_pairs = []
-        for i, bi in enumerate(H.b.entries):
-            ai = a[i]
-            if ai < bi:
-                b_pairs.append((i, bi))
-            elif ai != NEG_INF:
-                a_pairs.append((i, ai))
-        n = len(a)
-        kind = (_EVERYTHING if not b_pairs else
-                _BOTTOM_ONLY if len(b_pairs) == n else _PROPER)
-        form = (kind, None if kind is _BOTTOM_ONLY else
-                CanonicalHalfSpace(n, tuple(a_pairs), tuple(b_pairs)))
-        H._form = form
+        form = H._form = _row_form(H.a.entries, H.b.entries)
     return form
+
+
+def _row_form(a, b):
+    """(kind, canonical form or None) of the half-space with the entry
+    tuples a and b as coefficients; nothing is checked or kept.
+
+    One pass sorts each index to J (a_i < b_i) or, when a_i > -inf, to
+    I; the kind is read off |J|.
+    """
+    a_pairs = []
+    b_pairs = []
+    for i, bi in enumerate(b):
+        ai = a[i]
+        if ai < bi:
+            b_pairs.append((i, bi))
+        elif ai != NEG_INF:
+            a_pairs.append((i, ai))
+    n = len(a)
+    kind = (_EVERYTHING if not b_pairs else
+            _BOTTOM_ONLY if len(b_pairs) == n else _PROPER)
+    return (kind, None if kind is _BOTTOM_ONLY else
+            CanonicalHalfSpace(n, tuple(a_pairs), tuple(b_pairs)))
 
 
 def classify(H):

@@ -15,7 +15,12 @@ finite exactly when x and y lie in the same part, the equivalence class
 of "finite mutual residuals": same support, same -inf pattern, same
 +inf pattern, except that the vectors with no finite entry form
 singleton parts each (for those, the two infinity patterns already pin
-the vector down, so descriptor equality is plain equality).
+the vector down, so descriptor equality is plain equality).  From such
+a vector to itself the distance is -inf: every residual term is skipped
+or cancels at an infinity, so both residuals are +inf.  The vector of
+width 0 is one of them, so hilbert_distance(vector([]), vector([])) is
+-inf, and distances between width-0 points (maxplus distance and
+best-approx on width-0 files) read -inf too.
 
 Indices in this module are 0-based throughout.
 """

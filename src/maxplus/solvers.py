@@ -58,10 +58,14 @@ costs one comparison per sweep or step.  Pinned indices are reported.
 
 System rows are checked once, by InequalitySystem: equal shapes and no
 +inf entry.  Each call builds what it needs from them and keeps nothing
-on the system: the cyclic step makes every row's half-space with
-halfspace._halfspace, which checks nothing again, then classifies and
-canonicalizes it once (a slotted CanonicalHalfSpace, halfspace module
-docstring).
+on the system: the cyclic step reads every row pair's kind and
+canonical form off its entry tuples once, with halfspace._row_form,
+which checks nothing again and builds no HalfSpace.  It then projects
+each row through the module's project_canonical as it stands at call
+time, so a wrapper put there sees every row projection.  The rest of a
+call's fixed cost is read off its start in passes the loop makes
+anyway: the guard takes min(u) from the loop's first scan of u, and
+the report's bound takes both residuals of d(u, limit) in one pass.
 
 Reports count the additions of two finite scalars.  Which ones a sweep
 or step performs depends only on where its start is infinite, so each
@@ -76,8 +80,7 @@ from dataclasses import dataclass
 from .errors import DimensionError, MaxplusError, UnsupportedCaseError
 from .extreal import NEG_INF, POS_INF
 from .halfspace import (_BOTTOM_ONLY, _EVERYTHING, _check_coefficients,
-                        _halfspace, canonicalize, classify, project_canonical)
-from .hilbert_metric import hilbert_distance
+                        _row_form, project_canonical)
 from .tropical_linalg import TropicalMatrix, TropicalVector, _vec, leq
 
 DEFAULT_MAX_ITERS = 100_000
@@ -171,32 +174,27 @@ def _scan(x):
 class _Guard:
     """The divergence guard of the module docstring for a run from u.
 
-    A finite entry below watch calls for cut: watch is -inf (never)
-    without a guard, min(u) - 2 n (n + p + 2), the highest the floor
-    can be, until cut first computes the floor, and the floor after.
+    lo is min(u) for a finite u, +inf for an empty u or one with an
+    infinite entry, as the loop's first _scan(u) gives it.  A finite
+    entry below watch calls for cut: watch is -inf (never) without a
+    guard, min(u) - 2 n (n + p + 2), the highest the floor can be,
+    until cut first computes the floor, and the floor after.
     """
 
-    __slots__ = ("S", "u", "cap", "watch", "pinned")
+    __slots__ = ("S", "u", "lo", "cap", "watch", "pinned")
 
-    def __init__(self, S, u):
-        self.S, self.u, self.cap, self.pinned = S, u, None, set()
-        self.watch = NEG_INF
-        xs = u.entries
+    def __init__(self, S, u, lo):
+        self.S, self.u, self.lo, self.cap, self.pinned = S, u, lo, None, set()
         p = len(S.A.rows)
-        if not p or not xs:
-            return
-        for e in xs:
-            if not NEG_INF < e < POS_INF:
-                return
-        n = len(xs)
-        self.watch = min(xs) - n * 2 * (n + p + 2)
+        n = len(u.entries)
+        self.watch = lo - n * 2 * (n + p + 2) if p and lo < POS_INF else NEG_INF
 
     def cut(self, x):
         """x with every finite entry below the floor at -inf; None when
         no entry is that low."""
         if self.cap is None:
             self.cap = default_divergence_cap(self.S, self.u)
-        floor = self.watch = min(self.u.entries) - self.S.n * self.cap
+        floor = self.watch = self.lo - self.S.n * self.cap
         xs = x.entries
         sunk = [i for i, e in enumerate(xs) if NEG_INF < e < floor]
         if not sunk:
@@ -221,15 +219,27 @@ def _max_change_ok(prev, cur, tol):
 
 def _bound_from(u, solution):
     """(n * d(u, limit), its finite additions): the post-hoc iteration
-    bound for integer data, infinite whenever the distance is.  Each of
-    the two residuals in d subtracts once per index finite in both
-    vectors; adding them counts only when both, hence d, are finite."""
-    d = hilbert_distance(u, solution)
-    both = sum([NEG_INF < a < POS_INF and NEG_INF < b < POS_INF
-                for a, b in zip(u.entries, solution.entries)])
+    bound for integer data, infinite whenever the distance is.  One pass
+    takes the two residuals of hilbert_distance(u, limit), limit\\u and
+    u\\limit, with vec_residual's first-minimum rule, and counts the
+    indices finite in both vectors: each residual subtracts once there,
+    and adding the two counts only when both, hence d, are finite."""
+    r = s = POS_INF
+    both = 0
+    for a, b in zip(u.entries, solution.entries):
+        t = b - a  # NaN where upper addition gives +inf: skipped
+        if t < r:
+            r = t
+        t = a - b
+        if t < s:
+            s = t
+        if NEG_INF < a < POS_INF and NEG_INF < b < POS_INF:
+            both += 1
+    # d = -(r + s) with lower addition: +inf when a residual is -inf
+    d = POS_INF if r == NEG_INF or s == NEG_INF else -(r + s)
     if not NEG_INF < d < POS_INF:
         return d, 2 * both
-    return len(u) * d, 2 * both + 1
+    return len(u.entries) * d, 2 * both + 1
 
 
 def _report(u, status, x, iterations, additions, trace, pinned):
@@ -283,15 +293,15 @@ def _check_start(S, u, max_iters, tol=None):
 def _sweep(S):
     """The cyclic step: one sweep of the rows, each classified and
     canonicalized once here (Everything rows project to the identity
-    and are dropped); None when a BottomOnly row annihilates."""
+    and are dropped) and projected by the module's project_canonical as
+    it stands at call time; None when a BottomOnly row annihilates."""
     rows = []
     for a, b in zip(S.A.rows, S.B.rows):
-        H = _halfspace(a, b)
-        kind = classify(H)
+        kind, C = _row_form(a.entries, b.entries)
         if kind is _BOTTOM_ONLY:
             return None
         if kind is not _EVERYTHING:
-            rows.append(canonicalize(H))
+            rows.append(C)
 
     def sweep(x, points, counting):
         count = 0
@@ -359,9 +369,9 @@ def _cyclic_run(S, u, step, keep_last, max_iters, tol, points=None):
                 points.append(bot)
             ends.append(len(points) - 1)
         return Status.BOTTOM_REACHED, bot, int(moved), 0, (), ends
-    guard = _Guard(S, u)
     x = u
     pattern, lo, hi = _scan(x)
+    guard = _Guard(S, u, POS_INF if pattern else lo)
     sweeps = additions = 0
     pattern_additions = {}
     while sweeps < max_iters:

@@ -587,6 +587,18 @@ def reference_sweep(S):
     return sweep
 
 
+def reference_bound(u, x):
+    """The report's bound and its finite additions through the public
+    kernels: n * hilbert_distance(u, x), infinite whenever the distance
+    is, with two subtractions per index finite in both vectors and one
+    more addition when the distance is finite."""
+    d = mp.hilbert_distance(u, x)
+    both = sum(finite(a) and finite(b) for a, b in zip(u, x))
+    if not finite(d):
+        return d, 2 * both
+    return len(u) * d, 2 * both + 1
+
+
 def typed_report(r):
     """Every field of a SolveReport, payload types included."""
     t = r.trace

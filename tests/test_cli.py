@@ -256,6 +256,23 @@ def test_distance_generators_fraction_mode(files, capsys):
     assert rc == 0 and json.loads(out) == {"distance": "1"}
 
 
+@pytest.mark.parametrize("argv, text, payload", [
+    (["distance", "--halfspace", "H.txt"], "-inf\n", {"distance": "-inf"}),
+    (["distance", "--generators", "V.txt"], "-inf\n", {"distance": "-inf"}),
+    (["best-approx", "--halfspace", "H.txt"],
+     "the point already lies in the half-space; distance -inf\n",
+     {"distance": "-inf", "in_set": True}),
+])
+def test_width_0_distances_are_minus_inf(files, capsys, argv, text, payload):
+    # the empty vector has no finite entry, so its distance to itself is
+    # -inf, as for every such vector (hilbert_metric module docstring)
+    paths = {"H.txt": files("H.txt", "0\n"), "V.txt": files("V.txt", "2 0\n")}
+    argv = [paths.get(a, a) for a in argv] + ["--point", files("x.txt", "0\n")]
+    assert run(capsys, argv) == (0, text, "")
+    rc, out, err = run(capsys, argv + ["--output", "json"])
+    assert (rc, json.loads(out), err) == (0, payload, "")
+
+
 def test_project_halfspace_text(files, capsys):
     h = files("H.txt", "3\n-inf 0 -inf\n0 -inf -inf\n")
     x = files("x.txt", "3\n2 1 0\n")

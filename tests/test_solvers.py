@@ -2,6 +2,7 @@
 projection and the whole-system fixed-point iteration, plus the
 sandwich comparison and the divergence-guarded feasibility wrapper."""
 
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -15,6 +16,7 @@ from maxplus.solvers import Status, default_divergence_cap
 from helpers import (NEG, POS, RING_CYCLIC_STEPS, RING_LIMIT,
                      RING_POWER_STEPS, chain_system, chase_system,
                      dense_system, finite, planted_system,
+                     planted_system_sized, reference_bound,
                      reference_greatest_solution, reference_power_step,
                      reference_sweep, ring_ineq_system, typed, typed_report, v)
 
@@ -599,3 +601,42 @@ def test_finite_limit_coordinates_lie_above_the_sound_floor():
             B = [[m if i == k + 1 else NEG for i in range(n)] for k in range(n - 1)]
             S = mp.InequalitySystem(mp.matrix(A, ncols=n), mp.matrix(B, ncols=n))
             assert check(S, mp.vector([0] * n)), (n, m)
+
+
+def test_the_sweep_calls_project_canonical_as_it_stands(monkeypatch):
+    # the sweep looks project_canonical up in the solvers module at call
+    # time, once per proper row and sweep: tracers wrap it there
+    S, u, _ = planted_system_sized(random.Random(34), 8, 7)
+    first = mp.cyclic_solve(S, u)
+    assert first.status is Status.SOLVED and first.iterations > 0
+    rows = sum(mp.classify(mp.HalfSpace(a, b)) is mp.Kind.PROPER
+               for a, b in zip(S.A.rows, S.B.rows))
+    calls = [0]
+    inner = solvers.project_canonical
+
+    def counted(C, x):
+        calls[0] += 1
+        return inner(C, x)
+    monkeypatch.setattr(solvers, "project_canonical", counted)
+    assert mp.cyclic_solve(S, u) == first
+    assert calls[0] == (first.iterations + 1) * rows > 0
+    calls[0] = 0
+    assert mp.feasibility(S, u).witness == first.solution
+    assert calls[0] == (first.iterations + 1) * rows
+
+
+def test_one_pass_bound_matches_the_distance_kernels():
+    # the report's bound, read in one pass, against n * hilbert_distance
+    # and the both-finite count: value, payload type and the sign of a
+    # float zero, on entries with infinities, -0.0, Fractions and floats
+    # whose difference overflows to an infinity
+    rng = random.Random(2024)
+    pool = (NEG, POS, 0, 1, -2, 0.0, -0.0, 1.0, -2.5, Fraction(1, 3),
+            Fraction(-7, 2), 3, 1e308, -1e308)
+    for _ in range(10000):
+        n = rng.randint(0, 5)
+        u, x = (mp.vector([rng.choice(pool) for _ in range(n)]) for _ in "ux")
+        got, want = solvers._bound_from(u, x), reference_bound(u, x)
+        assert typed(got) == typed(want), (u, x)
+        signs = [math.copysign(1, b) for b, _ in (got, want) if isinstance(b, float)]
+        assert len(set(signs)) <= 1, (u, x, got, want)
