@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import halfspace as hs
@@ -92,10 +91,10 @@ def _solve(args, A, B, u, methods, keep_trace):
         args.mode = "int" if _all_integral(A, B, u) else "float"
     args.tol = None if args.mode == "int" else (
         args.tol if args.tol is not None else DEFAULT_TOL)
-    S, cap = solvers.InequalitySystem(A, B), _max_iters(args)
+    S = solvers.InequalitySystem(A, B)
     run = {"cyclic": solvers.cyclic_solve, "power": solvers.power_solve}
-    return {m: run[m](S, u, max_iters=cap, tol=args.tol, keep_trace=keep_trace)
-            for m in methods}
+    return {m: run[m](S, u, max_iters=args.max_iters, tol=args.tol,
+                      keep_trace=keep_trace) for m in methods}
 
 
 def _tokens(x):
@@ -107,18 +106,6 @@ def _emit(args, payload, text):
         print(json.dumps(payload, sort_keys=True))
     else:
         text()
-
-
-def _max_iters(args):
-    if args.max_iters is not None:
-        return args.max_iters
-    env = os.environ.get("MPS_MAX_ITERS")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise MaxplusError(f"MPS_MAX_ITERS is not an integer: {env!r}") from None
-    return solvers.DEFAULT_MAX_ITERS
 
 
 def _report_json(report):
@@ -359,9 +346,9 @@ def build_parser():
             p.add_argument("--tol", type=float, default=None,
                            help=f"float-mode termination tolerance, finite "
                                 f"and >= 0 (default {DEFAULT_TOL})")
-            p.add_argument("--max-iters", type=int, default=None,
-                           help="sweep/step cap, >= 0 (env MPS_MAX_ITERS, "
-                                f"default {solvers.DEFAULT_MAX_ITERS})")
+            cap = solvers.DEFAULT_MAX_ITERS
+            p.add_argument("--max-iters", type=int, default=cap,
+                           help=f"sweep/step cap, >= 0 (default {cap})")
         p.set_defaults(inputs=[o for f in files
                                for o in (f if isinstance(f, tuple) else (f,))])
 
@@ -393,8 +380,7 @@ _parser = None
 
 def main(argv=None):
     # one parser per process, built on the first call (not at import):
-    # parse_args makes a new Namespace each time, and MPS_MAX_ITERS is
-    # read when a command runs
+    # parse_args makes a new Namespace each time
     global _parser
     if _parser is None:
         _parser = build_parser()

@@ -9,8 +9,12 @@ One guarded loop runs both solvers, and they differ only in its step.
 The cyclic step is one sweep: the p row projections onto H_1, ..., H_p
 in a fixed round-robin through the canonical projection formula, each
 O(|I| + |J|) for the row's support plus an O(n) copy of the iterate
-when it moves a coordinate.  The power step moves the whole system at
-once:
+when it moves a coordinate.  A BottomOnly row, which only bottom
+satisfies, makes the sweep one step to bottom with no addition, so
+the run ends as the power method's does: BottomReached after one
+sweep, IterationCapHit at u under a cap of 0, and Solved with 0
+iterations from a bottom start.  The power step moves the whole
+system at once:
 
     eta_next = B#(A eta) /\\ eta,
 
@@ -54,7 +58,8 @@ that same limit.  On integer data each sweep or step that moves
 lowers a coordinate by at least 1, so a sinking run ends in finite
 time, Solved with -inf entries or BottomReached.  Until an entry falls
 below min(u) - 2n(n + p + 2), the highest the floor can be, the guard
-costs one comparison per sweep or step.  Pinned indices are reported.
+costs one comparison per sweep or step; only then does the loop
+compute the floor, once per run.  Pinned indices are reported, sorted.
 
 System rows are checked once, by InequalitySystem: equal shapes and no
 +inf entry.  Each call builds what it needs from them and keeps nothing
@@ -171,38 +176,6 @@ def _scan(x):
             min(finite) if finite else POS_INF, hi)
 
 
-class _Guard:
-    """The divergence guard of the module docstring for a run from u.
-
-    lo is min(u) for a finite u, +inf for an empty u or one with an
-    infinite entry, as the loop's first _scan(u) gives it.  A finite
-    entry below watch calls for cut: watch is -inf (never) without a
-    guard, min(u) - 2 n (n + p + 2), the highest the floor can be,
-    until cut first computes the floor, and the floor after.
-    """
-
-    __slots__ = ("S", "u", "lo", "cap", "watch", "pinned")
-
-    def __init__(self, S, u, lo):
-        self.S, self.u, self.lo, self.cap, self.pinned = S, u, lo, None, set()
-        p = len(S.A.rows)
-        n = len(u.entries)
-        self.watch = lo - n * 2 * (n + p + 2) if p and lo < POS_INF else NEG_INF
-
-    def cut(self, x):
-        """x with every finite entry below the floor at -inf; None when
-        no entry is that low."""
-        if self.cap is None:
-            self.cap = default_divergence_cap(self.S, self.u)
-        floor = self.watch = self.lo - self.S.n * self.cap
-        xs = x.entries
-        sunk = [i for i, e in enumerate(xs) if NEG_INF < e < floor]
-        if not sunk:
-            return None
-        self.pinned.update(sunk)
-        return _vec(tuple([NEG_INF if NEG_INF < e < floor else e for e in xs]))
-
-
 def _max_change_ok(prev, cur, tol):
     """Whether the step prev -> cur counts as unchanged under tol
     (None means exact equality)."""
@@ -240,12 +213,6 @@ def _bound_from(u, solution):
     if not NEG_INF < d < POS_INF:
         return d, 2 * both
     return len(u.entries) * d, 2 * both + 1
-
-
-def _report(u, status, x, iterations, additions, trace, pinned):
-    bound, extra = _bound_from(u, x) if status is Status.SOLVED else (POS_INF, 0)
-    return SolveReport(status, x, iterations, bound, additions + extra, trace,
-                       tuple(sorted(pinned)))
 
 
 def _row_additions(C, x):
@@ -294,12 +261,14 @@ def _sweep(S):
     """The cyclic step: one sweep of the rows, each classified and
     canonicalized once here (Everything rows project to the identity
     and are dropped) and projected by the module's project_canonical as
-    it stands at call time; None when a BottomOnly row annihilates."""
+    it stands at call time.  A BottomOnly row makes the whole sweep one
+    step to bottom with no addition, x itself when x is bottom already."""
     rows = []
     for a, b in zip(S.A.rows, S.B.rows):
         kind, C = _row_form(a.entries, b.entries)
         if kind is _BOTTOM_ONLY:
-            return None
+            bot = _vec((NEG_INF,) * S.n)
+            return lambda x, points, counting: (x if x == bot else bot, 0)
         if kind is not _EVERYTHING:
             rows.append(C)
 
@@ -350,28 +319,28 @@ def _power_step(S):
 def _cyclic_run(S, u, step, keep_last, max_iters, tol, points=None):
     """The one guarded loop, x <- step(x), of both solvers and
     feasibility.  Returns (status, x, sweeps, additions, pinned, ends);
-    sweeps counts the steps that changed the iterate.
+    sweeps counts the steps that changed the iterate, pinned is sorted.
 
     step(x, points, counting) gives the next iterate and, when counting,
     its finite additions; it may append intermediate iterates to points.
     A step that passes the stop test ends the run with its iterate if
     keep_last, else with the one before it, which it then leaves out of
     points.  points, if given (holding u), receives every new iterate
-    value, and ends the index in it where each step ended.  A step of
-    None (_sweep's BottomOnly row) ends the run at bottom at once.
+    value, and ends the index in it where each step ended.
     """
-    ends = []
-    if step is None:
-        bot = _vec((NEG_INF,) * S.n)
-        moved = u != bot
-        if points is not None:
-            if moved:
-                points.append(bot)
-            ends.append(len(points) - 1)
-        return Status.BOTTOM_REACHED, bot, int(moved), 0, (), ends
     x = u
     pattern, lo, hi = _scan(x)
-    guard = _Guard(S, u, POS_INF if pattern else lo)
+    # the guard: a finite entry below watch calls for the floor.  watch
+    # is -inf (never) without a guard, min(u) - 2n(n + p + 2), the
+    # highest the floor can be, until the floor is computed, and the
+    # floor after
+    top = POS_INF if pattern else lo  # min(u) for a finite u
+    n = S.n
+    watch = top - 2 * n * (n + S.p + 2) if S.p and top < POS_INF else NEG_INF
+    floor = None
+    pinned = set()
+    ends = []
+    status = Status.ITERATION_CAP_HIT
     sweeps = additions = 0
     pattern_additions = {}
     while sweeps < max_iters:
@@ -381,25 +350,28 @@ def _cyclic_run(S, u, step, keep_last, max_iters, tol, points=None):
             pattern_additions[pattern] = known = count
         additions += known
         pattern, lo, hi = _scan(nxt)
-        if lo < guard.watch:
-            cut = guard.cut(nxt)
-            if cut is not None:
-                nxt = cut
-                pattern, lo, hi = _scan(nxt)
+        if lo < watch and floor is None:
+            floor = watch = top - n * default_divergence_cap(S, u)
+        if lo < watch:
+            xs = nxt.entries
+            pinned.update(i for i, e in enumerate(xs) if NEG_INF < e < floor)
+            nxt = _vec(tuple([NEG_INF if NEG_INF < e < floor else e for e in xs]))
+            pattern, lo, hi = _scan(nxt)
         stop = _max_change_ok(x, nxt, tol)
-        if stop and not keep_last:
-            return Status.SOLVED, x, sweeps, additions, guard.pinned, ends
-        if points is not None:
-            if nxt is not points[-1]:  # unless the step appended it
-                points.append(nxt)
-            ends.append(len(points) - 1)
+        if keep_last or not stop:
+            if points is not None:
+                if nxt is not points[-1]:  # unless the step appended it
+                    points.append(nxt)
+                ends.append(len(points) - 1)
+            x = nxt
         if stop:
-            return Status.SOLVED, nxt, sweeps, additions, guard.pinned, ends
-        x = nxt
+            status = Status.SOLVED
+            break
         sweeps += 1
         if hi == NEG_INF:
-            return Status.BOTTOM_REACHED, x, sweeps, additions, guard.pinned, ends
-    return Status.ITERATION_CAP_HIT, x, sweeps, additions, guard.pinned, ends
+            status = Status.BOTTOM_REACHED
+            break
+    return status, x, sweeps, additions, tuple(sorted(pinned)), ends
 
 
 def _solve(S, u, make_step, keep_last, kind, max_iters, tol, keep_trace):
@@ -408,7 +380,8 @@ def _solve(S, u, make_step, keep_last, kind, max_iters, tol, keep_trace):
     status, x, sweeps, additions, pinned, ends = _cyclic_run(
         S, u, make_step(S), keep_last, max_iters, tol, points)
     trace = IterationTrace(tuple(points), kind, tuple(ends)) if keep_trace else None
-    return _report(u, status, x, sweeps, additions, trace, pinned)
+    bound, extra = _bound_from(u, x) if status is Status.SOLVED else (POS_INF, 0)
+    return SolveReport(status, x, sweeps, bound, additions + extra, trace, pinned)
 
 
 def cyclic_solve(S, u, max_iters=DEFAULT_MAX_ITERS, tol=None, keep_trace=False):
@@ -477,7 +450,6 @@ def feasibility(S, u, max_iters=DEFAULT_MAX_ITERS):
         if not NEG_INF < e < POS_INF:
             raise UnsupportedCaseError("feasibility needs a finite starting point")
     status, x, _, _, pinned, _ = _cyclic_run(S, u, _sweep(S), True, max_iters, None)
-    pinned = tuple(sorted(pinned))
     if status is Status.SOLVED:
         return FeasibilityResult("FiniteSolution", x, pinned)
     if status is Status.BOTTOM_REACHED:

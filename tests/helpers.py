@@ -16,6 +16,7 @@ from maxplus.errors import (InfiniteDistanceError, MaxplusError, ParseError,
                             PointInSetError, UnsupportedCaseError)
 from maxplus.extreal import parse_scalar
 from maxplus.halfspace import _prepared, project_canonical
+from maxplus.tropical_linalg import _vec
 
 NEG = mp.NEG_INF
 POS = mp.POS_INF
@@ -558,16 +559,19 @@ def reference_power_step(S):
 def reference_sweep(S):
     """The cyclic step from rows built through the public, checking
     constructor: canonicalize(HalfSpace(a, b)) for every proper row,
-    Everything rows dropped, None when a row is BottomOnly.  Finite
-    additions are counted entry by entry over the dense a' and b': one
-    per finite a'_i at a finite x_i, then one per finite b'_j when
-    t = a'x is finite."""
+    Everything rows dropped.  A BottomOnly row makes the step go to
+    bottom with 0 additions, returning x itself when x is bottom.
+    Finite additions are counted entry by entry over the dense a' and
+    b': one per finite a'_i at a finite x_i, then one per finite b'_j
+    when t = a'x is finite."""
     rows = []
     for a, b in zip(S.A.rows, S.B.rows):
         H = mp.HalfSpace(list(a), list(b))
         kind = mp.classify(H)
         if kind is mp.Kind.BOTTOM_ONLY:
-            return None
+            bottom = mp.vector([NEG] * S.n)
+            return lambda x, points, counting: (
+                x if all(e == NEG for e in x) else bottom, 0)
         if kind is mp.Kind.PROPER:
             rows.append(mp.canonicalize(H))
 
@@ -585,6 +589,65 @@ def reference_sweep(S):
             x = nxt
         return x, count
     return sweep
+
+
+def reference_run(S, u, step, keep_last, kind, max_iters, tol, keep_trace):
+    """The report of the guarded run x <- step(x) from u, restated without
+    the engine: additions counted on every step (no pattern cache), the
+    floor applied after every step (no watch), unchanged steps told by
+    comparing every entry, and a trace point added for every new value.
+
+    The run stops at the first unchanged step (every finite entry within
+    tol of the one before, every other entry equal; exact equality when
+    tol is None), keeping that step's iterate if keep_last and the one
+    before it otherwise; after max_iters changing steps; or at bottom.
+    The floor is min(u) - n (n + p + 2) (M + 1), M >= 1 the largest
+    finite entry magnitude of A, B and u, for a finite nonempty u and
+    p > 0; every finite entry below it is set to -inf and pinned."""
+    floor = None
+    if u and S.p and all(finite(e) for e in u):
+        entries = [e for r in S.A.rows + S.B.rows for e in r] + list(u)
+        m = max([1] + [abs(e) for e in entries if finite(e)])
+        floor = min(u) - S.n * (S.n + S.p + 2) * (m + 1)
+
+    def unchanged(x, y):
+        if tol is None:
+            return list(x) == list(y)
+        return all(abs(a - b) <= tol if finite(a) and finite(b) else a == b
+                   for a, b in zip(x, y))
+
+    points, ends, pinned = [u], [], set()
+    x, sweeps, additions = u, 0, 0
+    status = mp.Status.ITERATION_CAP_HIT
+    while sweeps < max_iters:
+        nxt, count = step(x, points, True)
+        additions += count
+        if floor is not None:
+            low = {i for i, e in enumerate(nxt) if finite(e) and e < floor}
+            pinned |= low
+            if low:
+                # _vec, not vector: the other entries keep the step's
+                # payload types (vector reads Fraction(-3, 1) as -3)
+                nxt = _vec(tuple(NEG if i in low else e for i, e in enumerate(nxt)))
+        stop = unchanged(x, nxt)
+        if stop and not keep_last:
+            status = mp.Status.SOLVED
+            break
+        if list(nxt) != list(points[-1]):
+            points.append(nxt)
+        ends.append(len(points) - 1)
+        x = nxt
+        if stop:
+            status = mp.Status.SOLVED
+            break
+        sweeps += 1
+        if all(e == NEG for e in x):
+            status = mp.Status.BOTTOM_REACHED
+            break
+    bound, extra = reference_bound(u, x) if status is mp.Status.SOLVED else (POS, 0)
+    trace = mp.IterationTrace(tuple(points), kind, tuple(ends)) if keep_trace else None
+    return mp.SolveReport(status, x, sweeps, bound, additions + extra, trace,
+                          tuple(sorted(pinned)))
 
 
 def reference_bound(u, x):

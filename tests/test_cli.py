@@ -454,7 +454,7 @@ def test_pos_inf_coefficients_refused_by_every_solver(files, capsys):
             assert (rc, out) == (2, "") and re.search(message, err)
 
 
-def test_solve_and_compare_refuse_a_bad_tol_or_max_iters(files, capsys, monkeypatch):
+def test_solve_and_compare_refuse_a_bad_tol_or_max_iters(files, capsys):
     # only bottom lies below u: a NaN or infinite tol let solve print a
     # point that is no solution as Solved, exit 0, and a negative cap
     # gave IterationCapHit after no sweep
@@ -472,10 +472,6 @@ def test_solve_and_compare_refuse_a_bad_tol_or_max_iters(files, capsys, monkeypa
                                    (["--max-iters", "-3"], "max_iters must be >= 0")):
                 rc, out, err = run(capsys, argv + mode + extra)
                 assert (rc, out) == (2, "") and message in err, (command, mode, extra)
-        monkeypatch.setenv("MPS_MAX_ITERS", "-3")
-        rc, out, err = run(capsys, argv)
-        assert (rc, out) == (2, "") and "max_iters must be >= 0" in err
-        monkeypatch.delenv("MPS_MAX_ITERS")
         rc, out, _ = run(capsys, argv + ["--mode", "float", "--tol", "0"])
         assert rc == 1 and "BottomReached" in out
 
@@ -559,20 +555,17 @@ def test_bottom_reached_exit_1(files, capsys):
     assert json.loads(out)["status"] == "BottomReached"
 
 
-def test_env_iteration_cap(files, capsys, monkeypatch):
+def test_max_iters_caps_the_solve(files, capsys):
     S = chain_system()
     a = files("A.txt", mp.format_matrix(S.A))
     b = files("B.txt", mp.format_matrix(S.B))
     u = files("u.txt", "3\n10 10 0\n")
-    monkeypatch.setenv("MPS_MAX_ITERS", "2")
-    rc, out, _ = run(capsys, ["solve", "--a", a, "--b", b, "--init", u,
-                              "--output", "json"])
+    argv = ["solve", "--a", a, "--b", b, "--init", u, "--output", "json"]
+    rc, out, _ = run(capsys, argv + ["--max-iters", "2"])
     assert rc == 1
     got = json.loads(out)
     assert got["status"] == "IterationCapHit" and got["iterations"] == 2
-    monkeypatch.setenv("MPS_MAX_ITERS", "50")
-    rc, out, _ = run(capsys, ["solve", "--a", a, "--b", b, "--init", u,
-                              "--output", "json"])
+    rc, out, _ = run(capsys, argv + ["--max-iters", "50"])
     assert rc == 0 and json.loads(out)["status"] == "Solved"
 
 
@@ -629,10 +622,9 @@ def test_reused_parser_answers_like_a_fresh_one(files, capsys, monkeypatch):
         solve,
         solve + ["--trace", "--max-iters", "1", "--method", "both"],
         solve,
-        {"MPS_MAX_ITERS": "2"},
+        chain + ["--max-iters", "2"],
         chain,
-        {"MPS_MAX_ITERS": "50"},
-        chain,
+        chain + ["--max-iters", "50"],
         ["distance", "--halfspace", h, "--point", x],
         ["distance", "--generators", g, "--point", x],
         ["distance", "--halfspace", h, "--generators", g, "--point", x],
@@ -644,20 +636,16 @@ def test_reused_parser_answers_like_a_fresh_one(files, capsys, monkeypatch):
     ]
     seen = []
     for step in steps:
-        if isinstance(step, dict):
-            for k, val in step.items():
-                monkeypatch.setenv(k, val)
-            continue
         got = call(step)
         assert got == fresh(step), step
         assert cli._parser is parser
         seen.append(got)
     codes = [rc for rc, _, _ in seen]
-    assert codes == [2, 0, 1, 0, 1, 0, 0, 0, 2, 0, 2, 0, 0, 0]
-    # nothing of the --trace / --max-iters call stays behind
+    assert codes == [2, 0, 1, 0, 1, 0, 0, 0, 0, 2, 0, 2, 0, 0, 0]
+    # nothing of the --trace / --max-iters calls stays behind
     assert seen[1] == seen[3] == seen[-1] and "trace" not in seen[3][1]
     assert json.loads(seen[4][1])["iterations"] == 2
-    assert json.loads(seen[5][1])["status"] == "Solved"
+    assert seen[5] == seen[6] and json.loads(seen[5][1])["status"] == "Solved"
 
 
 # --- the CLI out of process -----------------------------------------------
@@ -740,6 +728,12 @@ FRESH_PROCESS_CASES = {
         0,
         '{"cyclic": {"iterations": 1, "solution": ["4.0", "1.5", "1.5"], "status": "Solved"}, '
         '"power": {"iterations": 2, "solution": ["4.0", "1.5", "1.5"], "status": "Solved"}}\n'),
+    # a BottomOnly row, -inf >= max(x0, x1 + 1), under a cap of 0: no
+    # sweep is made, as on every other system
+    "solve (BottomOnly row, no sweep allowed)": (
+        {"A.txt": "1 2\n-inf -inf\n", "B.txt": "1 2\n0 1\n", "u.txt": "2\n4 4\n"},
+        ["solve"] + SYSTEM_ARGV + ["--max-iters", "0", "--output", "json"], 1,
+        '{"iterations": 0, "solution": ["4", "4"], "status": "IterationCapHit"}\n'),
     # --tol is checked before the mode is inferred: on integer files,
     # where the run would be exact, a NaN tolerance still exits 2
     "solve (bad tolerance in int mode)": (
@@ -754,7 +748,6 @@ def test_cli_in_a_fresh_process(case, tmp_path, monkeypatch):
         (tmp_path / name).write_bytes(text.encode())
     src = str(Path(mp.__file__).resolve().parents[1])
     monkeypatch.setenv("PYTHONPATH", src)
-    monkeypatch.delenv("MPS_MAX_ITERS", raising=False)
     proc = subprocess.run([sys.executable, "-m", "maxplus.cli"] + argv, cwd=tmp_path,
                           capture_output=True)
     assert (proc.returncode, proc.stdout) == (status, stdout.encode()), proc.stderr
@@ -769,8 +762,8 @@ OUTPUT = (("--output",), False, ["text", "json"], "text", None, None, None, "_St
 SOLVER = [(("--tol",), False, None, None, float, None,
            "float-mode termination tolerance, finite and >= 0 (default 1e-09)",
            "_StoreAction"),
-          (("--max-iters",), False, None, None, int, None,
-           "sweep/step cap, >= 0 (env MPS_MAX_ITERS, default 100000)", "_StoreAction")]
+          (("--max-iters",), False, None, 100000, int, None,
+           "sweep/step cap, >= 0 (default 100000)", "_StoreAction")]
 
 
 def file_option(name, required=True):

@@ -18,7 +18,8 @@ from helpers import (NEG, POS, RING_CYCLIC_STEPS, RING_LIMIT,
                      dense_system, finite, planted_system,
                      planted_system_sized, reference_bound,
                      reference_greatest_solution, reference_power_step,
-                     reference_sweep, ring_ineq_system, typed, typed_report, v)
+                     reference_run, reference_sweep, ring_ineq_system, typed,
+                     typed_report, v)
 
 U6 = v(0, 0, 0, 0, 0, 0)
 
@@ -136,6 +137,31 @@ def test_bottom_reached():
     rp = mp.power_solve(S, v(4, 4))
     assert rp.status is Status.BOTTOM_REACHED
     assert rp.solution == v(NEG, NEG)
+
+
+def test_bottom_only_rows_end_runs_as_other_systems_do():
+    # x0 >= x1 + 1, then a BottomOnly row: -inf >= max(x0, x1 + 1).  The
+    # sweep goes to bottom in one step, so under a cap of 0 no step is
+    # made and a bottom start is the limit already, for both methods
+    S = mp.InequalitySystem(mp.matrix([[0, NEG], [NEG, NEG]]),
+                            mp.matrix([[NEG, 1], [0, 1]]))
+    u, bottom = v(4, 4), v(NEG, NEG)
+    ends = {}
+    for solve in (mp.cyclic_solve, mp.power_solve):
+        r = solve(S, u, max_iters=0, keep_trace=True)
+        assert (r.status, r.solution, r.iterations, r.finite_additions, r.pinned) == (
+            Status.ITERATION_CAP_HIT, u, 0, 0, ()), solve.__name__
+        assert (r.trace.points, r.trace.ends) == ((u,), ())
+        r = solve(S, bottom, keep_trace=True)
+        assert (r.status, r.solution, r.iterations, r.pinned) == (
+            Status.SOLVED, bottom, 0, ()), solve.__name__
+        assert r.trace.points == (bottom,)
+        ends[solve.__name__] = r.trace.ends
+    # the kept sweep ends at the start, the dropped step is not recorded
+    assert ends == {"cyclic_solve": (0,), "power_solve": ()}
+    assert mp.cyclic_solve(S, bottom) == mp.power_solve(S, bottom)
+    with pytest.raises(MaxplusError, match="no fixed point within 0 sweeps"):
+        mp.feasibility(S, u, max_iters=0)
 
 
 def test_everything_rows_are_skipped():
@@ -446,9 +472,9 @@ def solver_entry(rng, kind, p_neg_inf):
 
 
 def test_power_step_matches_the_three_kernels():
-    # whole reports against vec_meet(residuated_apply(B, mat_apply(A, x)), x):
-    # statuses, limits, counts, pinned coordinates and every traced
-    # iterate, payload types included
+    # whole reports against vec_meet(residuated_apply(B, mat_apply(A, x)), x)
+    # run by the engine-free reference loop: statuses, limits, counts,
+    # pinned coordinates and every traced iterate, payload types included
     rng = random.Random(12)
     seen = set()
     for case in range(400):
@@ -466,8 +492,8 @@ def test_power_step_matches_the_three_kernels():
         for keep_trace in (False, True):
             got = mp.power_solve(S, u, max_iters=max_iters, tol=tol,
                                  keep_trace=keep_trace)
-            want = solvers._solve(S, u, reference_power_step, False, "power",
-                                  max_iters, tol, keep_trace)
+            want = reference_run(S, u, reference_power_step(S), False, "power",
+                                 max_iters, tol, keep_trace)
             assert typed_report(got) == typed_report(want), (case, keep_trace)
             seen.add((got.status, bool(got.pinned)))
     assert len(seen) >= 4
@@ -498,9 +524,10 @@ def planted_rows_case(rng):
 
 def test_solvers_match_the_checked_references():
     # cyclic_solve against sweeps over rows built by HalfSpace(a, b),
-    # power_solve against the three kernels, both with additions counted
-    # entry by entry, traced and untraced, payload types included;
-    # feasibility against the reference cyclic run
+    # power_solve against the three kernels, both run by the engine-free
+    # reference loop with additions counted entry by entry on every
+    # step, traced and untraced, payload types included; feasibility
+    # against the reference cyclic run
     rng = random.Random(15)
     seen = set()
     for case in range(600):
@@ -510,12 +537,12 @@ def test_solvers_match_the_checked_references():
                 (mp.power_solve, reference_power_step, False, "power")):
             for keep_trace in (False, True):
                 got = solve(S, u, max_iters=max_iters, tol=tol, keep_trace=keep_trace)
-                want = solvers._solve(S, u, step, keep_last, kind, max_iters, tol,
-                                      keep_trace)
+                want = reference_run(S, u, step(S), keep_last, kind, max_iters, tol,
+                                     keep_trace)
                 assert typed_report(got) == typed_report(want), (case, kind, keep_trace)
                 seen.add((kind, got.status, bool(got.pinned)))
-        want = solvers._solve(S, u, reference_sweep, True, "cyclic", max_iters, None,
-                              False)
+        want = reference_run(S, u, reference_sweep(S), True, "cyclic", max_iters, None,
+                             False)
         if not all(finite(e) for e in u):
             with pytest.raises(UnsupportedCaseError, match="finite starting point"):
                 mp.feasibility(S, u, max_iters=max_iters)
@@ -567,6 +594,33 @@ def spectator_chase(m):
     return mp.InequalitySystem(
         mp.matrix([[NEG, -1, NEG, NEG], [-1, NEG, NEG, NEG], [NEG, NEG, m, NEG]]),
         mp.matrix([[0, NEG, NEG, NEG], [NEG, 0, NEG, NEG], [NEG, NEG, NEG, 0]]))
+
+
+def test_the_floor_is_computed_only_for_runs_that_sink_far(monkeypatch):
+    # the guard watches min(u) - 2n(n + p + 2), the highest the floor can
+    # be, so that default_divergence_cap's scan of every entry is made
+    # only when an iterate falls below it, and then once per run
+    calls = [0]
+    inner = solvers.default_divergence_cap
+
+    def counted(S, u):
+        calls[0] += 1
+        return inner(S, u)
+    monkeypatch.setattr(solvers, "default_divergence_cap", counted)
+    rng = random.Random(35)
+    for _ in range(200):
+        S, u, _ = planted_system(rng)
+        watch = min(u) - 2 * S.n * (S.n + S.p + 2)
+        for run in (mp.cyclic_solve, mp.power_solve):
+            r = run(S, u, keep_trace=True)
+            assert all(e >= watch for x in r.trace.points for e in x if finite(e))
+        mp.feasibility(S, u)
+        assert calls[0] == 0, (S.A, S.B, u)
+    for S, u in ((chase_system(), v(0, 0, 0)), (spectator_chase(10), v(0, 0, 0, 0)),
+                 (spectator_chase(100), v(3, -2, -100, 500))):
+        for run in (mp.cyclic_solve, mp.power_solve, mp.feasibility):
+            calls[0] = 0
+            assert run(S, u).pinned and calls[0] == 1, (run.__name__, u)
 
 
 def test_finite_limit_coordinates_lie_above_the_sound_floor():
