@@ -4,20 +4,25 @@ A half-space is the solution set of one tropical linear inequality
 
     H = {h | max_i (a_i + h_i) >= max_i (b_i + h_i)},
 
-with coefficients a, b in R u {-inf} (no +inf).  Every proper H (one
-that is neither everything nor just the bottom vector) has a canonical
-form with disjoint coefficient supports: drop a_i where a_i < b_i and
-drop b_j where a_j >= b_j; the set does not change.
+with coefficients a, b in R u {-inf} (no +inf).  Every H has a
+canonical form with disjoint coefficient supports: drop a_i where
+a_i < b_i and drop b_j where a_j >= b_j; the set does not change.  Its
+kind is read off J = Supp b': Everything iff J is empty; otherwise
+BottomOnly (H = {bottom}) when J is all of range(n), Proper when not.
 
 With canonical coefficients (a', b'), writing I = Supp a', J = Supp b':
 
   * projection: the greatest element of H below x is
         P_H(x)_k = min( x_k, (a'x) - b'_k )
-    (the second term read as a scalar residual, so +inf off J);
+    (the second term read as a scalar residual, so +inf off J).  This
+    holds for every kind: an Everything H moves nothing (J is empty),
+    and a BottomOnly H has I empty, so a'x = -inf and every coordinate
+    drops to -inf;
 
   * distance: for x outside H, the projective distance from x to H is
         d(x, H) = (bx) - (a'x)
-    as a scalar residual a'x \\ bx, hence +inf exactly when a'x = -inf;
+    as a scalar residual a'x \\ bx, hence +inf exactly when a'x = -inf,
+    as it is for every x outside a BottomOnly H;
 
   * apex: the vector -(a' oplus b') entrywise, +inf off I u J.  H is
     the union over i in I of the sectors
@@ -41,14 +46,12 @@ With canonical coefficients (a', b'), writing I = Supp a', J = Supp b':
 A canonical form is stored once, as the ascending (index, coefficient)
 pairs on I and on J; a', b', I and J are read off them, and a'x, a'h
 and b'h are evaluated over the pairs alone.  One pass over (a_i, b_i)
-builds both lists, and the kind falls out of it: Everything iff J is
-empty, BottomOnly iff J is all of range(n).  A half-space computes its
-kind and (unless BottomOnly) its canonical form on first use and keeps
-both: classify, canonicalize, project, distance and the
-best-approximation operations read that pair, so each is computed
-once per half-space object.  The cost is one canonical
-form per half-space, kept by a single attribute store, so a concurrent
-reader sees no pair or the whole pair.  Nothing invalidates it:
+builds both lists.  A half-space computes its canonical form on first
+use and keeps it: classify, canonicalize, project, distance and the
+best-approximation operations read that one object, so it is computed
+once per half-space object.  The cost is one canonical form per
+half-space, kept by a single attribute store, so a concurrent reader
+sees none or the whole form.  Nothing invalidates it:
 half-spaces, their canonical forms and vectors are immutable, and no
 code assigns their attributes after construction (tropical_linalg._vec
 only fills a new object).  CanonicalHalfSpace is a slotted value
@@ -57,7 +60,7 @@ through its class name.
 
 HalfSpace(a, b) checks its coefficients.  The rows of an
 InequalitySystem are checked once, when the system is built, and the
-solvers read each row pair's kind and canonical form off its entry
+solvers read each row pair's canonical form off its entry
 tuples with _row_form, the one pass behind _form, without building a
 HalfSpace or checking anything again.
 
@@ -84,10 +87,6 @@ class Kind(enum.Enum):
     PROPER = "Proper"
 
 
-# module-level names for the members, read without an enum lookup
-_EVERYTHING, _BOTTOM_ONLY, _PROPER = Kind.EVERYTHING, Kind.BOTTOM_ONLY, Kind.PROPER
-
-
 def _check_coefficients(v, what):
     if POS_INF in v.entries:
         raise UnsupportedCaseError(f"{what} coefficients must lie in "
@@ -96,8 +95,8 @@ def _check_coefficients(v, what):
 
 
 class HalfSpace:
-    """The inequality a.h >= b.h; a and b have equal length and no
-    +inf entries.  _form caches (kind, canonical form or None)."""
+    """The inequality a.h >= b.h, of any kind; a and b have equal
+    length and no +inf entries.  _form caches the canonical form."""
 
     __slots__ = ("a", "b", "_form")
 
@@ -126,11 +125,11 @@ class HalfSpace:
 @dataclass(slots=True, unsafe_hash=True)
 class CanonicalHalfSpace:
     """Coefficients with disjoint supports defining the same set, in
-    dimension n.  a_pairs / b_pairs are the ascending (index,
-    coefficient) pairs on I = Supp a' and J = Supp b', every
-    coefficient finite; J is nonempty for a proper H (the form an
-    Everything H keeps in _form has J empty).  A value: == and hash
-    compare (n, a_pairs, b_pairs)."""
+    dimension n, for a half-space of any kind.  a_pairs / b_pairs are
+    the ascending (index, coefficient) pairs on I = Supp a' and
+    J = Supp b', every coefficient finite; J is empty for Everything,
+    all of range(n) (and I empty) for BottomOnly.  A value: == and
+    hash compare (n, a_pairs, b_pairs)."""
 
     n: int
     a_pairs: tuple
@@ -220,12 +219,11 @@ def contains(H, h):
 
 
 def _form(H):
-    """(kind, canonical form or None) of H, computed once and kept.
+    """The canonical form of H, of any kind, computed once and kept.
 
-    An Everything half-space keeps its form as well (a' = a, b'
-    bottom): with float and exact payloads mixed, a rounded sum can
-    still put a point outside it, and distance and best approximation
-    then read a'.
+    With float and exact payloads mixed, a rounded sum can put a point
+    outside an Everything half-space (a' = a, b' bottom), and distance
+    and best approximation then read a'.
     """
     form = H._form
     if form is None:
@@ -234,12 +232,9 @@ def _form(H):
 
 
 def _row_form(a, b):
-    """(kind, canonical form or None) of the half-space with the entry
-    tuples a and b as coefficients; nothing is checked or kept.
-
-    One pass sorts each index to J (a_i < b_i) or, when a_i > -inf, to
-    I; the kind is read off |J|.
-    """
+    """The canonical form of the half-space with the entry tuples a and
+    b as coefficients; nothing is checked or kept.  One pass sorts each
+    index to J (a_i < b_i) or, when a_i > -inf, to I."""
     a_pairs = []
     b_pairs = []
     for i, bi in enumerate(b):
@@ -248,22 +243,21 @@ def _row_form(a, b):
             b_pairs.append((i, bi))
         elif ai != NEG_INF:
             a_pairs.append((i, ai))
-    n = len(a)
-    kind = (_EVERYTHING if not b_pairs else
-            _BOTTOM_ONLY if len(b_pairs) == n else _PROPER)
-    return (kind, None if kind is _BOTTOM_ONLY else
-            CanonicalHalfSpace(n, tuple(a_pairs), tuple(b_pairs)))
+    return CanonicalHalfSpace(len(a), tuple(a_pairs), tuple(b_pairs))
 
 
 def classify(H):
-    return _form(H)[0]
+    """Everything iff J is empty, else BottomOnly iff J is all of range(n)."""
+    C = _form(H)
+    return (Kind.EVERYTHING if not C.b_pairs else
+            Kind.BOTTOM_ONLY if len(C.b_pairs) == C.n else Kind.PROPER)
 
 
 def canonicalize(H):
-    kind, C = _form(H)
-    if kind is not _PROPER:
+    kind = classify(H)
+    if kind is not Kind.PROPER:
         raise ClassificationError(f"cannot canonicalize a {kind.value} half-space")
-    return C
+    return _form(H)
 
 
 def _dense(n, pairs):
@@ -305,10 +299,12 @@ def apex_and_sectors(C):
 
 
 def project_canonical(C, x):
-    """x wedge the greatest preimage of a'x under b'; correct whether
-    or not x is already in the set.  O(|I| + |J|): t = a'x over I,
-    then x_j lowered to t - b'_j on J (finite coefficients, so native
-    + and - are exact); x itself comes back when nothing moves.
+    """x wedge the greatest preimage of a'x under b', for a form of any
+    kind; correct whether or not x is already in the set.  O(|I| + |J|):
+    t = a'x over I, then x_j lowered to t - b'_j on J (finite
+    coefficients, so native + and - are exact); x itself comes back
+    when nothing moves, so an Everything form returns x and a
+    BottomOnly one (I empty, t = -inf) the bottom vector.
     """
     xs = x.entries
     t = _apply(C.a_pairs, xs)
@@ -325,12 +321,7 @@ def project_canonical(C, x):
 def project(H, x):
     """The greatest element of H below x."""
     _check_dim(H, x)
-    kind, C = _form(H)
-    if kind is _EVERYTHING:
-        return x
-    if kind is _BOTTOM_ONLY:
-        return _vec((NEG_INF,) * H.n)
-    return project_canonical(C, x)
+    return project_canonical(_form(H), x)
 
 
 def distance(H, x):
@@ -340,11 +331,7 @@ def distance(H, x):
     bx = row_apply(H.b, x)
     if row_apply(H.a, x) >= bx:  # contains(H, x), true when H is Everything
         return hilbert_distance(x, x)
-    kind, C = _form(H)
-    if kind is _BOTTOM_ONLY:
-        # H = {bottom} and x is not bottom
-        return POS_INF
-    return scalar_residual(_apply(C.a_pairs, x.entries), bx)
+    return scalar_residual(_apply(_form(H).a_pairs, x.entries), bx)
 
 
 def _prepared(H, x):
@@ -357,14 +344,11 @@ def _prepared(H, x):
     bx = row_apply(H.b, x)
     if row_apply(H.a, x) >= bx:  # contains(H, x), true when H is Everything
         raise PointInSetError("the point already lies in the half-space")
-    kind, C = _form(H)
-    if kind is _BOTTOM_ONLY:
-        raise InfiniteDistanceError(
-            "the half-space is the bottom vector alone; distance is +inf")
+    C = _form(H)
     # x is outside, so no index dropped from b attains bx: bx = b'x
     ax = _apply(C.a_pairs, x.entries)
     d = scalar_residual(ax, bx)
-    if d == POS_INF:
+    if d == POS_INF:  # BottomOnly H included: its I is empty
         raise InfiniteDistanceError(
             "a'x = -inf: every point of the half-space is at distance +inf")
     return C, ax, bx, d

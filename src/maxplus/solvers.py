@@ -10,11 +10,12 @@ The cyclic step is one sweep: the p row projections onto H_1, ..., H_p
 in a fixed round-robin through the canonical projection formula, each
 O(|I| + |J|) for the row's support plus an O(n) copy of the iterate
 when it moves a coordinate.  A BottomOnly row, which only bottom
-satisfies, makes the sweep one step to bottom with no addition, so
-the run ends as the power method's does: BottomReached after one
-sweep, IterationCapHit at u under a cap of 0, and Solved with 0
-iterations from a bottom start.  The power step moves the whole
-system at once:
+satisfies, is one more row: its canonical form has I empty, so its
+projection is bottom, after the rows before it in the sweep have
+projected as usual.  The run then ends as the power method's does:
+BottomReached after one sweep, IterationCapHit at u under a cap of 0,
+and Solved with 0 iterations from a bottom start.  The power step
+moves the whole system at once:
 
     eta_next = B#(A eta) /\\ eta,
 
@@ -63,8 +64,8 @@ compute the floor, once per run.  Pinned indices are reported, sorted.
 
 System rows are checked once, by InequalitySystem: equal shapes and no
 +inf entry.  Each call builds what it needs from them and keeps nothing
-on the system: the cyclic step reads every row pair's kind and
-canonical form off its entry tuples once, with halfspace._row_form,
+on the system: the cyclic step reads every row pair's canonical form
+off its entry tuples once, with halfspace._row_form,
 which checks nothing again and builds no HalfSpace.  It then projects
 each row through the module's project_canonical as it stands at call
 time, so a wrapper put there sees every row projection.  The rest of a
@@ -72,9 +73,14 @@ call's fixed cost is read off its start in passes the loop makes
 anyway: the guard takes min(u) from the loop's first scan of u, and
 the report's bound takes both residuals of d(u, limit) in one pass.
 
-Reports count the additions of two finite scalars.  Which ones a sweep
+Reports count the additions of two finite scalars, by one rule for
+both steps (_additions): a row adds c_i + x_i for each finite x_i with
+i in I, the indices of its finite left coefficients, and then one per
+index in J, those of its finite right coefficients, when that maximum
+is finite.  A sweep row takes I and J from its canonical form, row j
+of a power step takes supp A_j and supp B_j.  Which additions a sweep
 or step performs depends only on where its start is infinite, so each
-such pattern (mostly just "all finite") is counted entry by entry once.
+such pattern (mostly just "all finite") is counted once.
 """
 
 from __future__ import annotations
@@ -84,8 +90,7 @@ from dataclasses import dataclass
 
 from .errors import DimensionError, MaxplusError, UnsupportedCaseError
 from .extreal import NEG_INF, POS_INF
-from .halfspace import (_BOTTOM_ONLY, _EVERYTHING, _check_coefficients,
-                        _row_form, project_canonical)
+from .halfspace import _check_coefficients, _row_form, project_canonical
 from .tropical_linalg import TropicalMatrix, TropicalVector, _vec, leq
 
 DEFAULT_MAX_ITERS = 100_000
@@ -192,7 +197,10 @@ def _max_change_ok(prev, cur, tol):
 
 def _bound_from(u, solution):
     """(n * d(u, limit), its finite additions): the post-hoc iteration
-    bound for integer data, infinite whenever the distance is.  One pass
+    bound for integer data, infinite whenever the distance is.  It is 0,
+    with no addition, when d is -inf: no index is then finite in both
+    vectors, so no entry moved, since entries only fall and one that
+    falls from +inf or from a finite value makes d +inf.  One pass
     takes the two residuals of hilbert_distance(u, limit), limit\\u and
     u\\limit, with vec_residual's first-minimum rule, and counts the
     indices finite in both vectors: each residual subtracts once there,
@@ -208,6 +216,8 @@ def _bound_from(u, solution):
             s = t
         if NEG_INF < a < POS_INF and NEG_INF < b < POS_INF:
             both += 1
+    if r == s == POS_INF:  # d = -inf: no index is finite in both
+        return 0, 0
     # d = -(r + s) with lower addition: +inf when a residual is -inf
     d = POS_INF if r == NEG_INF or s == NEG_INF else -(r + s)
     if not NEG_INF < d < POS_INF:
@@ -215,35 +225,20 @@ def _bound_from(u, solution):
     return len(u.entries) * d, 2 * both + 1
 
 
-def _row_additions(C, x):
-    """Finite additions of project_canonical(C, x): a'_i + x_i for each
-    finite x_i on I, then t - b'_j over J when t = a'x is finite."""
-    xs = x.entries
+def _additions(I, nJ, xs):
+    """Finite additions of one row from xs: c_i + x_i for each finite
+    x_i with i in I (the row's coefficients there are finite), then nJ
+    more when that maximum is finite, i.e. some x_i on I is finite and
+    none is +inf."""
     k = 0
     top = False
-    for i, _ in C.a_pairs:
+    for i in I:
         e = xs[i]
         if e == POS_INF:
             top = True
         elif e != NEG_INF:
             k += 1
-    return k + len(C.b_pairs) if k and not top else k
-
-
-def _step_additions(S, xs, ys):
-    """Finite additions of a power step from xs, given ys = A x: one per
-    finite A_ji at a finite x_i, one per finite B_ji at a finite y_j.
-    A and B have no +inf entry, so a row's support holds exactly its
-    finite entries and B_j contributes len(supp B_j) at a finite y_j."""
-    finite = [NEG_INF < e < POS_INF for e in xs]
-    count = 0
-    for sa, sb, yj in zip(S.A._support, S.B._support, ys):
-        for i in sa:
-            if finite[i]:
-                count += 1
-        if NEG_INF < yj < POS_INF:
-            count += len(sb)
-    return count
+    return k + nJ if k and not top else k
 
 
 def _check_start(S, u, max_iters, tol=None):
@@ -258,25 +253,22 @@ def _check_start(S, u, max_iters, tol=None):
 
 
 def _sweep(S):
-    """The cyclic step: one sweep of the rows, each classified and
-    canonicalized once here (Everything rows project to the identity
-    and are dropped) and projected by the module's project_canonical as
-    it stands at call time.  A BottomOnly row makes the whole sweep one
-    step to bottom with no addition, x itself when x is bottom already."""
+    """The cyclic step: one sweep of the rows, each canonicalized once
+    here and projected by the module's project_canonical as it stands
+    at call time.  Rows with J empty (Everything) project to the
+    identity and are dropped; a BottomOnly row projects to bottom."""
     rows = []
     for a, b in zip(S.A.rows, S.B.rows):
-        kind, C = _row_form(a.entries, b.entries)
-        if kind is _BOTTOM_ONLY:
-            bot = _vec((NEG_INF,) * S.n)
-            return lambda x, points, counting: (x if x == bot else bot, 0)
-        if kind is not _EVERYTHING:
+        C = _row_form(a.entries, b.entries)
+        if C.b_pairs:
             rows.append(C)
 
     def sweep(x, points, counting):
         count = 0
         for C in rows:
             if counting:
-                count += _row_additions(C, x)
+                I = [i for i, _ in C.a_pairs]
+                count += _additions(I, len(C.b_pairs), x.entries)
             nxt = project_canonical(C, x)
             if points is not None and nxt is not x:
                 points.append(nxt)
@@ -296,7 +288,6 @@ def _power_step(S):
     def step(x, points, counting):
         xs = x.entries
         out = [POS_INF] * n
-        ys = [] if counting else None
         # supports hold finite coefficients only, so native + and - are
         # the lower and upper additions
         for a, sa, b, sb in rows:
@@ -305,14 +296,14 @@ def _power_step(S):
                 t = a[i] + xs[i]
                 if t > y:
                     y = t
-            if counting:
-                ys.append(y)
             for i in sb:
                 t = y - b[i]
                 if t < out[i]:
                     out[i] = t
         nxt = _vec(tuple([r if r <= e else e for r, e in zip(out, xs)]))
-        return nxt, _step_additions(S, xs, ys) if counting else None
+        if not counting:
+            return nxt, None
+        return nxt, sum([_additions(sa, len(sb), xs) for _, sa, _, sb in rows])
     return step
 
 

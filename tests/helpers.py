@@ -314,8 +314,8 @@ def reference_classify(H):
 
 
 def reference_canonical(H):
-    """(a', b', I, J) of an H that is not BottomOnly, built densely:
-    a_i kept where a_i >= b_i, b_j kept where a_j < b_j."""
+    """(a', b', I, J) of an H of any kind, built densely: a_i kept
+    where a_i >= b_i, b_j kept where a_j < b_j."""
     a_prime, b_prime, I, J = [], [], set(), set()
     for i, (ai, bi) in enumerate(zip(H.a, H.b)):
         if ai >= bi:
@@ -559,31 +559,33 @@ def reference_power_step(S):
 def reference_sweep(S):
     """The cyclic step from rows built through the public, checking
     constructor: canonicalize(HalfSpace(a, b)) for every proper row,
-    Everything rows dropped.  A BottomOnly row makes the step go to
-    bottom with 0 additions, returning x itself when x is bottom.
-    Finite additions are counted entry by entry over the dense a' and
-    b': one per finite a'_i at a finite x_i, then one per finite b'_j
-    when t = a'x is finite."""
+    Everything rows dropped.  A BottomOnly row is a row step of its own,
+    with no engine call: every entry goes to -inf, with 0 additions, and
+    x itself comes back when it is bottom already.  Finite additions are
+    counted entry by entry over the dense a' and b': one per finite a'_i
+    at a finite x_i, then one per finite b'_j when t = a'x is finite."""
+    def to_bottom(x):
+        return x if all(e == NEG for e in x) else mp.vector([NEG] * S.n)
+
     rows = []
     for a, b in zip(S.A.rows, S.B.rows):
         H = mp.HalfSpace(list(a), list(b))
         kind = mp.classify(H)
-        if kind is mp.Kind.BOTTOM_ONLY:
-            bottom = mp.vector([NEG] * S.n)
-            return lambda x, points, counting: (
-                x if all(e == NEG for e in x) else bottom, 0)
-        if kind is mp.Kind.PROPER:
-            rows.append(mp.canonicalize(H))
+        if kind is not mp.Kind.EVERYTHING:
+            rows.append(None if kind is mp.Kind.BOTTOM_ONLY else mp.canonicalize(H))
 
     def sweep(x, points, counting):
         count = 0
         for C in rows:
-            if counting:
-                a, b = C.a_prime, C.b_prime
-                count += sum(finite(ai) and finite(xi) for ai, xi in zip(a, x))
-                if finite(mp.row_apply(a, x)):
-                    count += sum(finite(bj) for bj in b)
-            nxt = project_canonical(C, x)
+            if C is None:
+                nxt = to_bottom(x)
+            else:
+                if counting:
+                    a, b = C.a_prime, C.b_prime
+                    count += sum(finite(ai) and finite(xi) for ai, xi in zip(a, x))
+                    if finite(mp.row_apply(a, x)):
+                        count += sum(finite(bj) for bj in b)
+                nxt = project_canonical(C, x)
             if points is not None and nxt is not x:
                 points.append(nxt)
             x = nxt
@@ -652,11 +654,13 @@ def reference_run(S, u, step, keep_last, kind, max_iters, tol, keep_trace):
 
 def reference_bound(u, x):
     """The report's bound and its finite additions through the public
-    kernels: n * hilbert_distance(u, x), infinite whenever the distance
-    is, with two subtractions per index finite in both vectors and one
-    more addition when the distance is finite."""
+    kernels: n * hilbert_distance(u, x), infinite when the distance is
+    +inf and 0 when it is -inf, with two subtractions per index finite
+    in both vectors and one more addition when the distance is finite."""
     d = mp.hilbert_distance(u, x)
     both = sum(finite(a) and finite(b) for a, b in zip(u, x))
+    if d == NEG:
+        return 0, 0
     if not finite(d):
         return d, 2 * both
     return len(u) * d, 2 * both + 1

@@ -79,6 +79,18 @@ def test_solve_text(files, capsys):
     assert "iteration bound" in out
 
 
+def test_solve_prints_a_bound_of_0_when_nothing_moves(files, capsys):
+    # the start has no finite entry and no row moves it: d(u, limit) is
+    # -inf there, and the bound n * d reads 0
+    S = mp.InequalitySystem(mp.matrix([[0, NEG]]), mp.matrix([[NEG, 1]]))
+    a, b, u = system_files(files, S, v(POS, NEG))
+    for method in ("cyclic", "power"):
+        rc, out, _ = run(capsys, ["solve", "--a", a, "--b", b, "--init", u,
+                                  "--method", method])
+        assert rc == 0
+        assert "iteration bound n*d(u,limit): 0\n" in out
+
+
 def test_compare_json(files, capsys):
     a, b, u = ring_files(files)
     rc, out, _ = run(capsys, ["compare", "--a", a, "--b", b, "--init", u,

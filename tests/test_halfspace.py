@@ -90,16 +90,13 @@ def test_canonical_form_is_a_value():
 def _check_form(H):
     kind = mp.classify(H)
     assert kind is reference_classify(H)
-    # an Everything half-space keeps its form too, a BottomOnly one none
-    C = halfspace._form(H)[1]
+    # every half-space keeps its form, whatever its kind
+    C = halfspace._form(H)
     if kind is Kind.PROPER:
         assert mp.canonicalize(H) is C
     else:
         with pytest.raises(ClassificationError):
             mp.canonicalize(H)
-    if kind is Kind.BOTTOM_ONLY:
-        assert C is None
-        return kind
     a_prime, b_prime, I, J = reference_canonical(H)
     assert typed(C.a_prime) == typed(a_prime)
     assert typed(C.b_prime) == typed(b_prime)
@@ -484,11 +481,11 @@ def test_canonical_form_computed_once(monkeypatch):
     # another object with the same coefficients has its own form
     mp.project(mp.HalfSpace(DISJ_H.a, DISJ_H.b), x)
     assert calls[0] == 2
-    # improper half-spaces refuse canonicalize every time; an Everything
-    # one computes its form once, a BottomOnly one none
+    # improper half-spaces refuse canonicalize every time, and each
+    # computes its form once, an Everything one and a BottomOnly one alike
     improper = (mp.HalfSpace([0, 0], [-1, NEG]), mp.HalfSpace([-1], [0]))
     for _ in range(2):
         for E in improper:
             with pytest.raises(ClassificationError):
                 mp.canonicalize(E)
-    assert calls[0] == 3
+    assert calls[0] == 4

@@ -141,7 +141,7 @@ def test_bottom_reached():
 
 def test_bottom_only_rows_end_runs_as_other_systems_do():
     # x0 >= x1 + 1, then a BottomOnly row: -inf >= max(x0, x1 + 1).  The
-    # sweep goes to bottom in one step, so under a cap of 0 no step is
+    # sweep reaches bottom at that row, so under a cap of 0 no step is
     # made and a bottom start is the limit already, for both methods
     S = mp.InequalitySystem(mp.matrix([[0, NEG], [NEG, NEG]]),
                             mp.matrix([[NEG, 1], [0, 1]]))
@@ -162,6 +162,45 @@ def test_bottom_only_rows_end_runs_as_other_systems_do():
     assert mp.cyclic_solve(S, bottom) == mp.power_solve(S, bottom)
     with pytest.raises(MaxplusError, match="no fixed point within 0 sweeps"):
         mp.feasibility(S, u, max_iters=0)
+    # uncapped, the sweep projects x0 >= x1 + 1 first, (4, 4) -> (4, 3)
+    # with 2 additions (4 + 0, then 4 - 1), and then the BottomOnly row,
+    # whose canonical form has I empty: a'x = -inf, so every entry
+    # drops, with no addition.  The power step makes the same 2 at once
+    rc, rp = (solve(S, u, keep_trace=True) for solve in (mp.cyclic_solve, mp.power_solve))
+    for r in (rc, rp):
+        assert (r.status, r.solution, r.iterations, r.finite_additions) == (
+            Status.BOTTOM_REACHED, bottom, 1, 2)
+    assert (rc.trace.points, rc.trace.ends) == ((u, v(4, 3), bottom), (2,))
+    assert (rp.trace.points, rp.trace.ends) == ((u, bottom), (1,))
+
+
+@pytest.mark.parametrize("solve", [mp.cyclic_solve, mp.power_solve])
+def test_bound_is_0_from_a_start_with_no_finite_entry(solve):
+    # x0 >= x1 + 1 and x2 >= x0 move no entry of these starts, so each
+    # run is Solved at u with 0 iterations; d(u, u) is -inf for a vector
+    # with no finite entry, and the bound is 0 (not n * -inf), computed
+    # with no addition
+    S = mp.InequalitySystem(mp.matrix([[0, NEG, NEG], [NEG, NEG, 0]]),
+                            mp.matrix([[NEG, 1, NEG], [0, NEG, NEG]]))
+    for u in (v(NEG, NEG, NEG), v(POS, NEG, POS), v(POS, POS, POS)):
+        for keep_trace in (False, True):
+            r = solve(S, u, keep_trace=keep_trace)
+            assert (r.status, r.solution, r.iterations, r.finite_additions) == (
+                Status.SOLVED, u, 0, 0), u
+            assert typed([r.distance_bound_used]) == typed([0])
+            assert r.iterations <= r.distance_bound_used
+
+
+@pytest.mark.parametrize("p", [0, 2])
+def test_width_0_systems_are_solved_at_once(p):
+    S = mp.InequalitySystem(mp.matrix([[]] * p, ncols=0), mp.matrix([[]] * p, ncols=0))
+    u = mp.vector([])
+    for solve in (mp.cyclic_solve, mp.power_solve):
+        r = solve(S, u, keep_trace=True)
+        assert (r.status, r.solution, r.iterations, r.distance_bound_used,
+                r.finite_additions, r.pinned) == (Status.SOLVED, u, 0, 0, 0, ())
+        assert r.trace.points == (u,)
+    assert mp.feasibility(S, u).status == "FiniteSolution"
 
 
 def test_everything_rows_are_skipped():

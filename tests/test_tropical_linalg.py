@@ -421,3 +421,26 @@ def test_reader_error_names_the_first_refused_token():
             for mode in MODES:
                 assert got[mode][0] == "error" and got[mode][2:] == (3, column), \
                     (line, mode)
+
+
+_SYSTEM2 = mp.InequalitySystem(mp.matrix([[0, NEG]]), mp.matrix([[NEG, 1]]))
+_H2 = mp.HalfSpace([NEG, 0], [0, NEG])  # h_1 >= h_0; v(2, 1) lies outside
+
+
+@pytest.mark.parametrize("call", [
+    lambda: mp.cyclic_solve(_SYSTEM2, v(1)),
+    lambda: mp.power_solve(_SYSTEM2, v(1, 2, 3)),
+    lambda: mp.feasibility(_SYSTEM2, v(1)),
+    lambda: mp.matrix([[0, 1]], ncols=3),
+    lambda: mp.matrix([]),
+    lambda: mp.HalfSpace([0, 1], [0]),
+    lambda: mp.contains(_H2, v(1)),
+    lambda: mp.project(_H2, v(1, 2, 3)),
+    lambda: mp.is_best_approx(_H2, v(2, 1), v(1, 1, 1)),
+    lambda: mp.is_orthogonal(mp.GeneratedSemimodule([[0, 0]]), v(0, 1), v(0)),
+], ids=["cyclic start", "power start", "feasibility start", "ncols",
+        "no rows, no ncols", "halfspace rows", "contains", "project",
+        "is_best_approx", "is_orthogonal"])
+def test_mismatched_lengths_are_refused(call):
+    with pytest.raises(DimensionError):
+        call()
