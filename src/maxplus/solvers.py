@@ -62,6 +62,26 @@ below min(u) - 2n(n + p + 2), the highest the floor can be, the guard
 costs one comparison per sweep or step; only then does the loop
 compute the floor, once per run.  Pinned indices are reported, sorted.
 
+A sinking run spends most of its steps in a periodic stretch, and the
+loop computes that stretch in one update.  Two coordinates share a
+block when one row of A or B is finite on both.  A sweep or step acts
+on each block alone and commutes with adding a constant to a block's
+finite entries, since projectors onto semimodules are topical maps.
+So once an iterate is a per-block translate x^k = x^(k-c) + d of the
+one c steps before it, every later iterate is the one c steps before
+it plus d, until the guard pins an entry.  Once an untraced run whose
+finite entries in A, B and u are all ints has crossed the watch line,
+the loop compares each iterate with one saved iterate, re-saved at
+doubling distances (Brent's cycle detection).  A match that moves some
+block (d <= 0 there) adds m d to the iterate, m c to the step count
+and m c times its pattern's count to the additions, m the most whole
+periods that keep every finite entry at or above the floor and the run
+within max_iters; the loop then goes on as before.  Integer arithmetic
+makes each jumped step exactly its twin one period back, so every
+report field comes out as the full run's.  Traced runs, float or
+Fraction payloads, runs that never reach the watch line and starts
+with infinite entries (no guard) run every step.
+
 System rows are checked once, by InequalitySystem: equal shapes and no
 +inf entry.  Each call builds what it needs from them and keeps nothing
 on the system: the cyclic step reads every row pair's canonical form
@@ -80,7 +100,10 @@ index in J, those of its finite right coefficients, when that maximum
 is finite.  A sweep row takes I and J from its canonical form, row j
 of a power step takes supp A_j and supp B_j.  Which additions a sweep
 or step performs depends only on where its start is infinite, so each
-such pattern (mostly just "all finite") is counted once.
+such pattern (mostly just "all finite") is counted once, and a jump
+multiplies it by the steps it skips.  The rule reads a maximum as
+finite from the finite x_i alone: a float row whose maximum overflows
+to +inf still counts its |J| subtractions.
 """
 
 from __future__ import annotations
@@ -229,7 +252,9 @@ def _additions(I, nJ, xs):
     """Finite additions of one row from xs: c_i + x_i for each finite
     x_i with i in I (the row's coefficients there are finite), then nJ
     more when that maximum is finite, i.e. some x_i on I is finite and
-    none is +inf."""
+    none is +inf.  The count is a function of where xs is infinite
+    alone, so a float maximum that overflows to +inf from finite terms
+    still counts its nJ subtractions."""
     k = 0
     top = False
     for i in I:
@@ -329,6 +354,10 @@ def _cyclic_run(S, u, step, keep_last, max_iters, tol, points=None):
     n = S.n
     watch = top - 2 * n * (n + S.p + 2) if S.p and top < POS_INF else NEG_INF
     floor = None
+    # the period check of an untraced integer run past the watch line:
+    # blocks, and the iterate saved at step since, re-saved span steps
+    # later unless the iterate is its per-block translate (Brent)
+    blocks = saved = None
     pinned = set()
     ends = []
     status = Status.ITERATION_CAP_HIT
@@ -342,12 +371,16 @@ def _cyclic_run(S, u, step, keep_last, max_iters, tol, points=None):
         additions += known
         pattern, lo, hi = _scan(nxt)
         if lo < watch and floor is None:
-            floor = watch = top - n * default_divergence_cap(S, u)
+            cap, ints = _guard_scan(S, u)
+            floor = watch = top - n * cap
+            if ints and points is None:
+                blocks = _blocks(S)
         if lo < watch:
             xs = nxt.entries
             pinned.update(i for i, e in enumerate(xs) if NEG_INF < e < floor)
             nxt = _vec(tuple([NEG_INF if NEG_INF < e < floor else e for e in xs]))
             pattern, lo, hi = _scan(nxt)
+            saved = None
         stop = _max_change_ok(x, nxt, tol)
         if keep_last or not stop:
             if points is not None:
@@ -362,7 +395,74 @@ def _cyclic_run(S, u, step, keep_last, max_iters, tol, points=None):
         if hi == NEG_INF:
             status = Status.BOTTOM_REACHED
             break
+        if blocks is not None:
+            if saved is not None:
+                c = sweeps - since
+                jump = _jump(blocks, saved, x, floor, (max_iters - sweeps) // c)
+                if jump is not None:
+                    # m periods of c steps, each from x's pattern (known)
+                    m, x = jump
+                    sweeps += m * c
+                    additions += m * c * known
+                    saved = None
+            if saved is None or sweeps - since == span:
+                span = 2 * span if saved is not None else 1
+                saved, since = x, sweeps
     return status, x, sweeps, additions, tuple(sorted(pinned)), ends
+
+
+def _blocks(S):
+    """The coordinate blocks of S as index tuples: two coordinates share
+    a block when a row of A or B is finite on both.  Coordinates that no
+    row touches are left out, since no step moves them."""
+    blocks = []
+    for sa, sb in zip(S.A._support, S.B._support):
+        block = set(sa).union(sb)
+        if block:
+            rest = []
+            for other in blocks:
+                if other & block:
+                    block |= other
+                else:
+                    rest.append(other)
+            blocks = rest + [block]
+    return [tuple(sorted(b)) for b in blocks]
+
+
+def _jump(blocks, old, new, floor, room):
+    """(m, new + m d) when the iterate new is old + d for a per-block
+    shift d that moves some block (equal infinite entries, and on each
+    block's finite entries one difference), else None.  m is the largest
+    count of periods, at most room, that keeps every finite entry at or
+    above floor; the shifts d are <= 0, as iterates only fall."""
+    xs, ys = old.entries, new.entries
+    moved = []
+    m = room
+    for block in blocks:
+        d = None
+        for i in block:
+            a, b = xs[i], ys[i]
+            if a == NEG_INF or b == NEG_INF:
+                if a != b:
+                    return None
+            elif d is None:
+                d = b - a
+                low = b
+            elif b - a != d:
+                return None
+            elif b < low:
+                low = b
+        if d:
+            moved.append((block, d))
+            m = min(m, (low - floor) // -d)
+    if not moved:
+        return None
+    shift = [0] * len(ys)
+    for block, d in moved:
+        for i in block:
+            shift[i] = m * d
+    # -inf plus an int stays -inf
+    return m, _vec(tuple([e + s for e, s in zip(ys, shift)]))
 
 
 def _solve(S, u, make_step, keep_last, kind, max_iters, tol, keep_trace):
@@ -417,13 +517,25 @@ def default_divergence_cap(S, u):
     """(n + p + 2) * (M + 1) for M the largest finite entry magnitude
     in the system and the start; ample for the coordinate spread of any
     nonbottom solution on integer data."""
+    return _guard_scan(S, u)[0]
+
+
+def _guard_scan(S, u):
+    """(default_divergence_cap(S, u), whether every finite entry of A, B
+    and u is an int), in one pass over the rows and u.  M is the first
+    entry of largest magnitude, in reading order, as max() keeps it."""
     m = 1
-    entries = [e for row in list(S.A.rows) + list(S.B.rows) for e in row]
-    entries.extend(u)
-    for e in entries:
-        if NEG_INF < e < POS_INF:
-            m = max(m, abs(e))
-    return (S.n + S.p + 2) * (m + 1)
+    ints = True
+    for es in S.A.rows + S.B.rows + (u,):
+        for e in es:
+            if type(e) is not int:
+                if not NEG_INF < e < POS_INF:
+                    continue
+                ints = False
+            e = abs(e)
+            if e > m:
+                m = e
+    return (S.n + S.p + 2) * (m + 1), ints
 
 
 def feasibility(S, u, max_iters=DEFAULT_MAX_ITERS):

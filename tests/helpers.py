@@ -12,6 +12,7 @@ import re
 from fractions import Fraction
 
 import maxplus as mp
+from maxplus import solvers
 from maxplus.errors import (InfiniteDistanceError, MaxplusError, ParseError,
                             PointInSetError, UnsupportedCaseError)
 from maxplus.extreal import parse_scalar
@@ -591,6 +592,25 @@ def reference_sweep(S):
             x = nxt
         return x, count
     return sweep
+
+
+def counting_steps(monkeypatch, *names):
+    """Count the steps _cyclic_run takes: the calls of each step function
+    that the named makers in solvers (_sweep, _power_step) build."""
+    calls = [0]
+
+    def wrap(make):
+        def wrapper(S):
+            step = make(S)
+
+            def counted(*args):
+                calls[0] += 1
+                return step(*args)
+            return counted
+        return wrapper
+    for name in names:
+        monkeypatch.setattr(solvers, name, wrap(getattr(solvers, name)))
+    return calls
 
 
 def reference_run(S, u, step, keep_last, kind, max_iters, tol, keep_trace):

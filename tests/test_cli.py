@@ -18,8 +18,8 @@ from maxplus import cli, semimodule, solvers
 from maxplus.cli import main
 from maxplus.errors import UnsupportedCaseError
 from helpers import (DISJ_H, DISJ_X, EVAX_GENS, NEG, PAYLOAD_KINDS, POS,
-                     chain_system, chase_system, planted_system_sized,
-                     rand_payload, reference_all_integral,
+                     chain_system, chase_system, counting_steps,
+                     planted_system_sized, rand_payload, reference_all_integral,
                      reference_best_approx_output, reference_face_json,
                      ring_ineq_system, tied_best_approx_case, v)
 
@@ -169,28 +169,11 @@ def counting(monkeypatch, module, name):
     return calls
 
 
-def counting_power_steps(monkeypatch):
-    """Count the power steps _cyclic_run takes: the calls of each step
-    function solvers._power_step builds."""
-    calls = [0]
-    make = solvers._power_step
-
-    def wrapper(S):
-        step = make(S)
-
-        def counted(*args):
-            calls[0] += 1
-            return step(*args)
-        return counted
-    monkeypatch.setattr(solvers, "_power_step", wrapper)
-    return calls
-
-
 def test_compare_sweeps_at_most_twice_solve(files, capsys, monkeypatch):
     S, u, _ = planted_system_sized(random.Random(97), 20, 20)
     a, b, u = system_files(files, S, u)
     calls = counting(monkeypatch, solvers, "project_canonical")
-    steps = counting_power_steps(monkeypatch)
+    steps = counting_steps(monkeypatch, "_power_step")
     argv = ["--a", a, "--b", b, "--init", u, "--output", "json"]
     assert run(capsys, ["solve", "--method", "both"] + argv)[0] == 0
     solve_calls, calls[0] = calls[0], 0
@@ -685,6 +668,17 @@ FRESH_PROCESS_CASES = {
         '{"cyclic": {"iterations": 22, "pinned": [0, 1], "solution": ["-inf", "-inf", "0"], '
         '"status": "Solved"}, "power": {"iterations": 43, "pinned": [0, 1], '
         '"solution": ["-inf", "-inf", "0"], "status": "Solved"}}\n'),
+    # the chase beside the row x2 + 10^4 >= x3 from u = 0: the floor lies
+    # so deep that both methods stop at the cap, the untraced runs after
+    # jumping whole periods of their descent
+    "solve (spectator chase at the cap)": (
+        {"A.txt": "3 4\n-inf -1 -inf -inf\n-1 -inf -inf -inf\n-inf -inf 10000 -inf\n",
+         "B.txt": "3 4\n0 -inf -inf -inf\n-inf 0 -inf -inf\n-inf -inf -inf 0\n",
+         "u.txt": "4\n0 0 0 0\n"},
+        ["solve"] + SYSTEM_ARGV + ["--method", "both", "--output", "json"], 1,
+        '{"cyclic": {"iterations": 100000, "solution": ["-199999", "-200000", "0", "0"], '
+        '"status": "IterationCapHit"}, "power": {"iterations": 100000, '
+        '"solution": ["-100000", "-100000", "0", "0"], "status": "IterationCapHit"}}\n'),
     # the first system through compare: both traced runs, their finite
     # additions and the sandwich verdict
     "compare": (

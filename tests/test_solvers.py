@@ -15,7 +15,7 @@ from maxplus.errors import DimensionError, MaxplusError, UnsupportedCaseError
 from maxplus.solvers import Status, default_divergence_cap
 from helpers import (NEG, POS, RING_CYCLIC_STEPS, RING_LIMIT,
                      RING_POWER_STEPS, chain_system, chase_system,
-                     dense_system, finite, planted_system,
+                     counting_steps, dense_system, finite, planted_system,
                      planted_system_sized, reference_bound,
                      reference_greatest_solution, reference_power_step,
                      reference_run, reference_sweep, ring_ineq_system, typed,
@@ -637,15 +637,16 @@ def spectator_chase(m):
 
 def test_the_floor_is_computed_only_for_runs_that_sink_far(monkeypatch):
     # the guard watches min(u) - 2n(n + p + 2), the highest the floor can
-    # be, so that default_divergence_cap's scan of every entry is made
-    # only when an iterate falls below it, and then once per run
+    # be, so that the scan of every entry for default_divergence_cap (and
+    # the period check's all-int test) is made only when an iterate falls
+    # below it, and then once per run
     calls = [0]
-    inner = solvers.default_divergence_cap
+    inner = solvers._guard_scan
 
     def counted(S, u):
         calls[0] += 1
         return inner(S, u)
-    monkeypatch.setattr(solvers, "default_divergence_cap", counted)
+    monkeypatch.setattr(solvers, "_guard_scan", counted)
     rng = random.Random(35)
     for _ in range(200):
         S, u, _ = planted_system(rng)
@@ -733,3 +734,169 @@ def test_one_pass_bound_matches_the_distance_kernels():
         assert typed(got) == typed(want), (u, x)
         signs = [math.copysign(1, b) for b, _ in (got, want) if isinstance(b, float)]
         assert len(set(signs)) <= 1, (u, x, got, want)
+
+
+def test_additions_count_a_row_whose_float_maximum_overflows():
+    # x0 + 1e308 >= x1 from (1e308, 5.0): the row's maximum 1e308 + 1e308
+    # overflows to +inf, and the row still counts its one J subtraction,
+    # since the count reads only where the start is infinite.  One
+    # unchanged step (2) plus the bound's 2 * 2 + 1 gives 7 for both
+    S = mp.InequalitySystem(mp.matrix([[1e308, NEG]]), mp.matrix([[NEG, 0.0]]))
+    u = v(1e308, 5.0)
+    for solve in (mp.cyclic_solve, mp.power_solve):
+        r = solve(S, u)
+        assert (r.status, r.solution, r.iterations, r.finite_additions) == (
+            Status.SOLVED, u, 0, 7), solve.__name__
+
+
+def reference_guard_scan(S, u):
+    """default_divergence_cap as it read every entry into one list, and
+    whether every finite entry of A, B and u is an int."""
+    m = 1
+    entries = [e for row in list(S.A.rows) + list(S.B.rows) for e in row]
+    entries.extend(u)
+    for e in entries:
+        if NEG < e < POS:
+            m = max(m, abs(e))
+    return ((S.n + S.p + 2) * (m + 1),
+            all(type(e) is int for e in entries if NEG < e < POS))
+
+
+def test_guard_scan_keeps_the_cap_and_its_type():
+    # the one-pass scan against the list it replaced: the cap's value and
+    # payload type (M is the first entry of largest magnitude in reading
+    # order, so of 3 and 3.0 the one read first) and the all-int answer
+    rng = random.Random(2020)
+    seen = set()
+    for _ in range(1500):
+        n, p = rng.randint(0, 5), rng.randint(0, 5)
+        kind = rng.choice(("int", "Fraction", "float", "mixed"))
+        A, B = ([[solver_entry(rng, kind, 0.3) for _ in range(n)] for _ in range(p)]
+                for _ in "AB")
+        S = mp.InequalitySystem(mp.matrix(A, ncols=n), mp.matrix(B, ncols=n))
+        u = mp.vector([rng.choice((NEG, POS)) if rng.random() < 0.1
+                       else solver_entry(rng, kind, 0.0) for _ in range(n)])
+        got, want = solvers._guard_scan(S, u), reference_guard_scan(S, u)
+        assert typed(got) == typed(want), (A, B, u)
+        assert typed([default_divergence_cap(S, u)]) == typed([want[0]])
+        seen.add((type(got[0]).__name__, got[1]))
+    assert len(seen) >= 4, seen
+
+
+def two_block_case(rng):
+    """(S, u): a sinking cycle x_i <= x_{i+1} - w_i (w_i in [0, 3], one
+    positive) on k >= 2 coordinates, with up to two random rows more on
+    them, beside rows x_j <= x_i + w on the other coordinates, planted
+    on a potential in [-m, m] so that their limit stays finite.  m sets
+    how deep the floor lies; the columns are shuffled."""
+    k, l = rng.randint(2, 3), rng.randint(1, 3)
+    n = k + l
+    m = rng.choice((3, 30, 300))
+    A, B = [], []
+
+    def row(a_at, b_at):
+        a, b = [NEG] * n, [NEG] * n
+        for i, e in a_at:
+            a[i] = e
+        for i, e in b_at:
+            b[i] = e
+        A.append(a)
+        B.append(b)
+    w = [rng.randint(0, 3) for _ in range(k)]
+    w[rng.randrange(k)] = rng.randint(1, 3)
+    for i in range(k):
+        row([((i + 1) % k, -w[i])], [(i, 0)])
+    for _ in range(rng.randint(0, 2)):
+        row(*([(i, rng.randint(-3, 3)) for i in range(k) if rng.random() < 0.6]
+              for _ in "ab"))
+    z = [rng.randint(-m, m) for _ in range(l)]
+    for _ in range(rng.randint(1, 3)):
+        i, j = rng.randrange(l), rng.randrange(l)
+        row([(k + i, z[j] - z[i] + rng.randint(0, 2))], [(k + j, 0)])
+    perm = rng.sample(range(n), n)
+    A, B = ([[r[perm[c]] for c in range(n)] for r in M] for M in (A, B))
+    S = mp.InequalitySystem(mp.matrix(A, ncols=n), mp.matrix(B, ncols=n))
+    return S, mp.vector([rng.randint(-m, m) for _ in range(n)])
+
+
+def jump_strata(rng):
+    """(stratum, S, u, max_iters): dense 5x5 systems with entries in
+    [-3, 3], two-block systems, and the spectator chase at m = 10, 10^3
+    and 10^6; the caps are drawn so that some runs end inside a stretch
+    the untraced run jumps."""
+    for _ in range(150):
+        A, B, u = dense_system(rng, 5, 5, -3, 3)
+        yield ("dense", mp.InequalitySystem(mp.matrix(A), mp.matrix(B)), mp.vector(u),
+               rng.choice((rng.randint(5, 300), solvers.DEFAULT_MAX_ITERS)))
+    for _ in range(60):
+        S, u = two_block_case(rng)
+        yield "two-block", S, u, rng.choice((rng.randint(5, 300), 1500))
+    for m in (10, 10**3, 10**6):
+        for u in (v(0, 0, 0, 0), v(3, -2, -m, 5 * m), v(0, 0, m, -m)):
+            top = 400 if m == 10 else 1500
+            for cap in (rng.randint(1, top), rng.randint(1, top),
+                        solvers.DEFAULT_MAX_ITERS if m == 10 else top):
+                yield f"chase {m}", spectator_chase(m), u, cap
+
+
+def test_untraced_runs_jump_to_the_full_runs_report(monkeypatch):
+    # an untraced integer run past the watch line skips whole periods of
+    # a per-block translation; its report must be the engine-free
+    # reference's, which runs every step, and the traced run's less the
+    # trace, field by field with payload types; feasibility likewise
+    calls = counting_steps(monkeypatch, "_sweep", "_power_step")
+    rng = random.Random(2026)
+    seen = set()
+    for case, (stratum, S, u, max_iters) in enumerate(jump_strata(rng)):
+        for solve, step, keep_last, kind in (
+                (mp.cyclic_solve, reference_sweep, True, "cyclic"),
+                (mp.power_solve, reference_power_step, False, "power")):
+            calls[0] = 0
+            got = solve(S, u, max_iters=max_iters)
+            ran = calls[0]
+            want = reference_run(S, u, step(S), keep_last, kind, max_iters, None, False)
+            assert typed_report(got) == typed_report(want), (stratum, case, kind)
+            traced = solve(S, u, max_iters=max_iters, keep_trace=True)
+            assert typed_report(traced)[:-1] == typed_report(got)[:-1], (stratum, case)
+            seen.add((stratum, got.status, ran < got.iterations))
+            if kind == "cyclic":
+                cyclic = want
+        want = cyclic
+        if want.status is Status.ITERATION_CAP_HIT:
+            with pytest.raises(MaxplusError, match="no fixed point within"):
+                mp.feasibility(S, u, max_iters=max_iters)
+            continue
+        f = mp.feasibility(S, u, max_iters=max_iters)
+        witness = want.solution if want.status is Status.SOLVED else None
+        assert (f.status, typed([witness]), f.pinned) == (
+            "FiniteSolution" if witness is not None else "OnlyBottom",
+            typed([witness]), want.pinned), (stratum, case)
+    # every stratum jumps, and some capped runs end inside a jump
+    for stratum in ("dense", "two-block", "chase 10", "chase 1000", "chase 1000000"):
+        assert any(s == stratum and jumped for s, _, jumped in seen), (stratum, seen)
+    for stratum in ("two-block", "chase 10", "chase 1000000"):
+        assert (stratum, Status.ITERATION_CAP_HIT, True) in seen, (stratum, seen)
+    assert ("two-block", Status.SOLVED, True) in seen
+
+
+def test_sinking_runs_skip_their_periodic_tail(monkeypatch):
+    # the spectator chase at m = 10^4 reaches the 100 000-step cap long
+    # before the floor; the untraced run jumps there in a few hundred
+    # steps, and a float copy of the system, which the period check
+    # leaves alone, runs every step to the same report
+    calls = counting_steps(monkeypatch, "_sweep", "_power_step")
+    S = spectator_chase(10**4)
+    Sf = mp.InequalitySystem(*(mp.matrix([[float(e) for e in r] for r in M.rows])
+                               for M in (S.A, S.B)))
+    for solve, limit in ((mp.cyclic_solve, (-199999, -200000, 0, 0)),
+                         (mp.power_solve, (-100000, -100000, 0, 0))):
+        reports = []
+        for system, u in ((S, v(0, 0, 0, 0)), (Sf, v(0.0, 0.0, 0.0, 0.0))):
+            calls[0] = 0
+            r = solve(system, u)
+            assert (r.status, r.iterations, tuple(r.solution)) == (
+                Status.ITERATION_CAP_HIT, 100_000, limit), solve.__name__
+            reports.append((r.finite_additions, r.pinned, calls[0]))
+        (adds, pinned, ran), (adds_f, pinned_f, ran_f) = reports
+        assert (adds, pinned) == (adds_f, pinned_f)
+        assert ran <= 300 and ran_f == 100_000, (solve.__name__, ran, ran_f)
