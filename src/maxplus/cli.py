@@ -42,8 +42,7 @@ import sys
 from . import halfspace as hs
 from . import semimodule as sm
 from . import solvers
-from .errors import (InfiniteDistanceError, MaxplusError, PointInSetError,
-                     UnsupportedCaseError)
+from .errors import InfiniteDistanceError, MaxplusError, PointInSetError
 from .extreal import NEG_INF, POS_INF, format_scalar
 from .halfspace import parse_halfspace
 from .semimodule import parse_generators
@@ -81,12 +80,11 @@ def _all_integral(A, B, u):
 
 def _solve(args, A, B, u, methods, keep_trace):
     """{method: report} for each method run on A x >= B x from u, the
-    step solve and compare share.  --tol is checked first, as the
-    solvers check it, so it means the same in both modes; then
+    step solve and compare share.  --tol is checked first, by the
+    solvers' own check, so it means the same in both modes; then
     args.mode/args.tol are filled in: int mode means exact termination
     (tol None), float mode uses --tol."""
-    if args.tol is not None and not 0 <= args.tol < POS_INF:
-        raise UnsupportedCaseError(f"tol must be finite and >= 0, got {args.tol!r}")
+    solvers._check_tol(args.tol)
     if args.mode is None:
         args.mode = "int" if _all_integral(A, B, u) else "float"
     args.tol = None if args.mode == "int" else (

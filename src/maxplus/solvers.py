@@ -58,29 +58,28 @@ in the limit, and the greatest solution below the pinned point is
 that same limit.  On integer data each sweep or step that moves
 lowers a coordinate by at least 1, so a sinking run ends in finite
 time, Solved with -inf entries or BottomReached.  Until an entry falls
-below min(u) - 2n(n + p + 2), the highest the floor can be, the guard
-costs one comparison per sweep or step; only then does the loop
-compute the floor, once per run.  Pinned indices are reported, sorted.
+below the watch line min(u) - 2n(n + p + 2), the highest the floor can
+be, the guard costs one comparison per sweep or step; only then does
+the loop compute the floor, once per run.  Pinned indices are
+reported, sorted.
 
-A sinking run spends most of its steps in a periodic stretch, and the
-loop computes that stretch in one update.  Two coordinates share a
-block when one row of A or B is finite on both.  A sweep or step acts
-on each block alone and commutes with adding a constant to a block's
-finite entries, since projectors onto semimodules are topical maps.
-So once an iterate is a per-block translate x^k = x^(k-c) + d of the
-one c steps before it, every later iterate is the one c steps before
-it plus d, until the guard pins an entry.  Once an untraced run whose
-finite entries in A, B and u are all ints has crossed the watch line,
-the loop compares each iterate with one saved iterate, re-saved at
-doubling distances (Brent's cycle detection).  A match that moves some
-block (d <= 0 there) adds m d to the iterate, m c to the step count
-and m c times its pattern's count to the additions, m the most whole
-periods that keep every finite entry at or above the floor and the run
-within max_iters; the loop then goes on as before.  Integer arithmetic
-makes each jumped step exactly its twin one period back, so every
-report field comes out as the full run's.  Traced runs, float or
-Fraction payloads, runs that never reach the watch line and starts
-with infinite entries (no guard) run every step.
+A sinking run of exact data ends sooner, by the block rule.  Two
+coordinates share a block when one row of A or B is finite on both, so
+V is the product of one solution set per block, each closed under
+adding a constant to its finite entries.  The limit on a block is
+therefore -inf, or it touches u at a finite coordinate: otherwise a
+finite translate of it would be a greater solution below u.  The
+iterates stay at or above the limit, so an iterate that lies strictly
+below u on a whole block shows that the block's limit is -inf, and
+setting that block to -inf leaves the greatest solution below the
+iterate unchanged.  Once a run with tol None and no float among the
+finite entries of A, B and u has crossed the watch line, every block
+on which an iterate lies strictly below u is set to -inf after its
+step, and its finite entries are pinned.  Rounding can put a float
+iterate below the limit, and a tolerance ends a run near a fixed point
+rather than at the limit, so float and tol runs keep the floor alone,
+as does a block that touches u.  The watch line keeps the block
+partition and its check off the runs that never sink far.
 
 System rows are checked once, by InequalitySystem: equal shapes and no
 +inf entry.  Each call builds what it needs from them and keeps nothing
@@ -100,10 +99,10 @@ index in J, those of its finite right coefficients, when that maximum
 is finite.  A sweep row takes I and J from its canonical form, row j
 of a power step takes supp A_j and supp B_j.  Which additions a sweep
 or step performs depends only on where its start is infinite, so each
-such pattern (mostly just "all finite") is counted once, and a jump
-multiplies it by the steps it skips.  The rule reads a maximum as
-finite from the finite x_i alone: a float row whose maximum overflows
-to +inf still counts its |J| subtractions.
+such pattern (mostly just "all finite") is counted once, and every
+counted step ran.  The rule reads a maximum as finite from the finite
+x_i alone: a float row whose maximum overflows to +inf still counts
+its |J| subtractions.
 """
 
 from __future__ import annotations
@@ -166,8 +165,10 @@ class IterationTrace:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """finite_additions includes those computing distance_bound_used;
-    pinned lists the coordinates the divergence guard set to -inf."""
+    """iterations counts steps that ran and changed the iterate;
+    finite_additions includes those computing distance_bound_used;
+    pinned lists the coordinates that the floor or the block rule set
+    to -inf (module docstring)."""
 
     status: Status
     solution: TropicalVector
@@ -182,7 +183,9 @@ class SolveReport:
 class FeasibilityResult:
     """status "FiniteSolution" carries the nonbottom limit as witness;
     "OnlyBottom" means every solution below the start is bottom.
-    pinned lists coordinates forced to -inf by the divergence guard."""
+    pinned lists the coordinates that the floor or the block rule set
+    to -inf.  It reads the run of cyclic_solve, in which every sweep
+    that max_iters counts ran."""
 
     status: str
     witness: TropicalVector | None
@@ -266,13 +269,19 @@ def _additions(I, nJ, xs):
     return k + nJ if k and not top else k
 
 
+def _check_tol(tol):
+    """Refuse a tolerance that is NaN, infinite or negative; None means
+    exact termination.  The solvers and the CLI's --tol share it."""
+    if tol is not None and not 0 <= tol < POS_INF:
+        raise UnsupportedCaseError(f"tol must be finite and >= 0, got {tol!r}")
+
+
 def _check_start(S, u, max_iters, tol=None):
     """The checks of every solver entry point, made before any sweep."""
     n = S.A.ncols
     if n != len(u.entries):
         raise DimensionError(f"system in dimension {n}, start has {len(u)}")
-    if tol is not None and not 0 <= tol < POS_INF:
-        raise UnsupportedCaseError(f"tol must be finite and >= 0, got {tol!r}")
+    _check_tol(tol)
     if max_iters < 0:
         raise UnsupportedCaseError(f"max_iters must be >= 0, got {max_iters!r}")
 
@@ -354,10 +363,9 @@ def _cyclic_run(S, u, step, keep_last, max_iters, tol, points=None):
     n = S.n
     watch = top - 2 * n * (n + S.p + 2) if S.p and top < POS_INF else NEG_INF
     floor = None
-    # the period check of an untraced integer run past the watch line:
-    # blocks, and the iterate saved at step since, re-saved span steps
-    # later unless the iterate is its per-block translate (Brent)
-    blocks = saved = None
+    # the blocks the block rule has not pinned yet: set with the floor
+    # when no finite entry is a float and tol is None, else none
+    blocks = ()
     pinned = set()
     ends = []
     status = Status.ITERATION_CAP_HIT
@@ -371,16 +379,30 @@ def _cyclic_run(S, u, step, keep_last, max_iters, tol, points=None):
         additions += known
         pattern, lo, hi = _scan(nxt)
         if lo < watch and floor is None:
-            cap, ints = _guard_scan(S, u)
+            cap, exact = _guard_scan(S, u)
             floor = watch = top - n * cap
-            if ints and points is None:
+            if exact and tol is None:
                 blocks = _blocks(S)
-        if lo < watch:
-            xs = nxt.entries
-            pinned.update(i for i, e in enumerate(xs) if NEG_INF < e < floor)
-            nxt = _vec(tuple([NEG_INF if NEG_INF < e < floor else e for e in xs]))
-            pattern, lo, hi = _scan(nxt)
-            saved = None
+        if blocks or lo < watch:
+            xs, us = nxt.entries, u.entries
+            cut = [i for i, e in enumerate(xs) if NEG_INF < e < floor] if lo < watch else []
+            live = []
+            for block in blocks:
+                # a block lives while it touches u, and the iterate
+                # never exceeds u, so the scan stops at the first xs[i]
+                # equal to us[i]
+                for i in block:
+                    if xs[i] == us[i]:
+                        live.append(block)
+                        break
+                else:
+                    cut += [i for i in block if xs[i] != NEG_INF]
+            blocks = live
+            if cut:
+                pinned.update(cut)
+                cut = set(cut)
+                nxt = _vec(tuple([NEG_INF if i in cut else e for i, e in enumerate(xs)]))
+                pattern, lo, hi = _scan(nxt)
         stop = _max_change_ok(x, nxt, tol)
         if keep_last or not stop:
             if points is not None:
@@ -395,19 +417,6 @@ def _cyclic_run(S, u, step, keep_last, max_iters, tol, points=None):
         if hi == NEG_INF:
             status = Status.BOTTOM_REACHED
             break
-        if blocks is not None:
-            if saved is not None:
-                c = sweeps - since
-                jump = _jump(blocks, saved, x, floor, (max_iters - sweeps) // c)
-                if jump is not None:
-                    # m periods of c steps, each from x's pattern (known)
-                    m, x = jump
-                    sweeps += m * c
-                    additions += m * c * known
-                    saved = None
-            if saved is None or sweeps - since == span:
-                span = 2 * span if saved is not None else 1
-                saved, since = x, sweeps
     return status, x, sweeps, additions, tuple(sorted(pinned)), ends
 
 
@@ -427,42 +436,6 @@ def _blocks(S):
                     rest.append(other)
             blocks = rest + [block]
     return [tuple(sorted(b)) for b in blocks]
-
-
-def _jump(blocks, old, new, floor, room):
-    """(m, new + m d) when the iterate new is old + d for a per-block
-    shift d that moves some block (equal infinite entries, and on each
-    block's finite entries one difference), else None.  m is the largest
-    count of periods, at most room, that keeps every finite entry at or
-    above floor; the shifts d are <= 0, as iterates only fall."""
-    xs, ys = old.entries, new.entries
-    moved = []
-    m = room
-    for block in blocks:
-        d = None
-        for i in block:
-            a, b = xs[i], ys[i]
-            if a == NEG_INF or b == NEG_INF:
-                if a != b:
-                    return None
-            elif d is None:
-                d = b - a
-                low = b
-            elif b - a != d:
-                return None
-            elif b < low:
-                low = b
-        if d:
-            moved.append((block, d))
-            m = min(m, (low - floor) // -d)
-    if not moved:
-        return None
-    shift = [0] * len(ys)
-    for block, d in moved:
-        for i in block:
-            shift[i] = m * d
-    # -inf plus an int stays -inf
-    return m, _vec(tuple([e + s for e, s in zip(ys, shift)]))
 
 
 def _solve(S, u, make_step, keep_last, kind, max_iters, tol, keep_trace):
@@ -521,21 +494,21 @@ def default_divergence_cap(S, u):
 
 
 def _guard_scan(S, u):
-    """(default_divergence_cap(S, u), whether every finite entry of A, B
-    and u is an int), in one pass over the rows and u.  M is the first
-    entry of largest magnitude, in reading order, as max() keeps it."""
+    """(default_divergence_cap(S, u), whether no finite entry of A, B and
+    u is a float), in one pass over the rows and u.  M is the first entry
+    of largest magnitude, in reading order, as max() keeps it."""
     m = 1
-    ints = True
+    exact = True
     for es in S.A.rows + S.B.rows + (u,):
         for e in es:
-            if type(e) is not int:
+            if type(e) is float:
                 if not NEG_INF < e < POS_INF:
                     continue
-                ints = False
+                exact = False
             e = abs(e)
             if e > m:
                 m = e
-    return (S.n + S.p + 2) * (m + 1), ints
+    return (S.n + S.p + 2) * (m + 1), exact
 
 
 def feasibility(S, u, max_iters=DEFAULT_MAX_ITERS):
@@ -544,9 +517,9 @@ def feasibility(S, u, max_iters=DEFAULT_MAX_ITERS):
     The guarded cyclic run of cyclic_solve, read as a certificate:
     Solved gives "FiniteSolution" with the limit as witness,
     BottomReached gives "OnlyBottom", and pinned carries the
-    coordinates the guard set to -inf.  Raises UnsupportedCaseError for
-    a non-finite start or a negative max_iters, before any sweep, and
-    MaxplusError after max_iters sweeps.
+    coordinates the floor or the block rule set to -inf.  Raises
+    UnsupportedCaseError for a non-finite start or a negative max_iters,
+    before any sweep, and MaxplusError after max_iters sweeps.
     """
     _check_start(S, u, max_iters)
     for e in u.entries:

@@ -196,16 +196,48 @@ def dense_system(rng, n, p, lo, hi):
     return A, B, u
 
 
+def reference_blocks(A, B):
+    """The coordinate blocks of the plain-list rows A and B as sets: each
+    coordinate's closure under "a row of A or B is finite on both".
+    Coordinates that no row touches are in none."""
+    rows = [{i for i, (a, b) in enumerate(zip(ra, rb)) if finite(a) or finite(b)}
+            for ra, rb in zip(A, B)]
+    blocks = []
+    for i in sorted(set().union(*rows)):
+        if any(i in block for block in blocks):
+            continue
+        block, grown = set(), {i}
+        while grown != block:
+            block = grown
+            grown = block.union(*[r for r in rows if r & block])
+        blocks.append(block)
+    return blocks
+
+
+def reference_cuts(x, u, floor, blocks):
+    """The coordinates one step sets to -inf: every finite entry of x
+    below floor and, where the block rule applies (blocks), every
+    finite entry of a block on which x lies strictly below u."""
+    low = {i for i, e in enumerate(x) if finite(e) and e < floor}
+    for block in blocks:
+        if all(x[i] < u[i] for i in block):
+            low |= {i for i in block if finite(x[i])}
+    return low
+
+
 def reference_greatest_solution(A, B, u):
-    """The greatest x <= u with A x >= B x for plain lists and a finite
-    start u, without the library: cyclic projection onto the rows,
-    pinning to -inf every coordinate below the divergence floor
-    min(u) - n (n + p + 2) (M + 1), M the largest entry magnitude.
-    Returns (x, pinned indices, sweeps that changed x)."""
+    """The greatest x <= u with A x >= B x for plain integer lists and a
+    finite start u, without the library: cyclic projection onto the
+    rows, pinning to -inf every coordinate below the divergence floor
+    min(u) - n (n + p + 2) (M + 1), M the largest entry magnitude, and,
+    from the first sweep with an entry below min(u) - 2n (n + p + 2), every
+    block on which the sweep ends strictly below u.  Returns (x, pinned
+    indices, sweeps that changed x)."""
     n, p = len(u), len(A)
     m = max([1] + [abs(e) for r in A + B for e in r if finite(e)]
             + [abs(e) for e in u])
     floor = min(u) - n * (n + p + 2) * (m + 1)
+    watch = min(u) - 2 * n * (n + p + 2)
 
     def row_max(a, x):
         return max([ai + xi for ai, xi in zip(a, x) if finite(ai)], default=NEG)
@@ -223,16 +255,18 @@ def reference_greatest_solution(A, B, u):
     x = list(u)
     pinned = set()
     sweeps = 0
+    blocks = []
     while True:
         before = list(x)
         for a_prime, lowered in rows:
             t = row_max(a_prime, x)
             for j, bj in lowered:
                 x[j] = min(x[j], t - bj)
-        for i, e in enumerate(x):
-            if finite(e) and e < floor:
-                x[i] = NEG
-                pinned.add(i)
+        if not blocks and any(finite(e) and e < watch for e in x):
+            blocks = reference_blocks(A, B)
+        for i in reference_cuts(x, u, floor, blocks):
+            x[i] = NEG
+            pinned.add(i)
         if x == before:
             return x, pinned, sweeps
         sweeps += 1
@@ -625,12 +659,19 @@ def reference_run(S, u, step, keep_last, kind, max_iters, tol, keep_trace):
     before it otherwise; after max_iters changing steps; or at bottom.
     The floor is min(u) - n (n + p + 2) (M + 1), M >= 1 the largest
     finite entry magnitude of A, B and u, for a finite nonempty u and
-    p > 0; every finite entry below it is set to -inf and pinned."""
+    p > 0; every finite entry below it is set to -inf and pinned.  With
+    tol None and no float among those finite entries, from the first
+    step with a finite entry below min(u) - 2n (n + p + 2), every block
+    (reference_blocks) on which the step's iterate lies strictly below u
+    is set to -inf too, and its finite entries are pinned."""
     floor = None
+    exact = False
     if u and S.p and all(finite(e) for e in u):
-        entries = [e for r in S.A.rows + S.B.rows for e in r] + list(u)
-        m = max([1] + [abs(e) for e in entries if finite(e)])
+        entries = [e for r in S.A.rows + S.B.rows for e in r if finite(e)] + list(u)
+        m = max([1] + [abs(e) for e in entries])
         floor = min(u) - S.n * (S.n + S.p + 2) * (m + 1)
+        watch = min(u) - 2 * S.n * (S.n + S.p + 2)
+        exact = tol is None and not any(isinstance(e, float) for e in entries)
 
     def unchanged(x, y):
         if tol is None:
@@ -638,14 +679,16 @@ def reference_run(S, u, step, keep_last, kind, max_iters, tol, keep_trace):
         return all(abs(a - b) <= tol if finite(a) and finite(b) else a == b
                    for a, b in zip(x, y))
 
-    points, ends, pinned = [u], [], set()
+    points, ends, pinned, blocks = [u], [], set(), []
     x, sweeps, additions = u, 0, 0
     status = mp.Status.ITERATION_CAP_HIT
     while sweeps < max_iters:
         nxt, count = step(x, points, True)
         additions += count
         if floor is not None:
-            low = {i for i, e in enumerate(nxt) if finite(e) and e < floor}
+            if exact and not blocks and any(finite(e) and e < watch for e in nxt):
+                blocks = reference_blocks(list(S.A.rows), list(S.B.rows))
+            low = reference_cuts(nxt, u, floor, blocks)
             pinned |= low
             if low:
                 # _vec, not vector: the other entries keep the step's

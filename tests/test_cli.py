@@ -669,16 +669,26 @@ FRESH_PROCESS_CASES = {
         '"status": "Solved"}, "power": {"iterations": 43, "pinned": [0, 1], '
         '"solution": ["-inf", "-inf", "0"], "status": "Solved"}}\n'),
     # the chase beside the row x2 + 10^4 >= x3 from u = 0: the floor lies
-    # so deep that both methods stop at the cap, the untraced runs after
-    # jumping whole periods of their descent
-    "solve (spectator chase at the cap)": (
+    # far below, but once the chase pair crosses the watch line its block
+    # lies below u, so the block rule pins it and both methods end Solved
+    "solve (spectator chase pinned by its block)": (
         {"A.txt": "3 4\n-inf -1 -inf -inf\n-1 -inf -inf -inf\n-inf -inf 10000 -inf\n",
          "B.txt": "3 4\n0 -inf -inf -inf\n-inf 0 -inf -inf\n-inf -inf -inf 0\n",
          "u.txt": "4\n0 0 0 0\n"},
+        ["solve"] + SYSTEM_ARGV + ["--method", "both", "--output", "json"], 0,
+        '{"cyclic": {"iterations": 37, "pinned": [0, 1], "solution": ["-inf", "-inf", "0", "0"], '
+        '"status": "Solved"}, "power": {"iterations": 73, "pinned": [0, 1], '
+        '"solution": ["-inf", "-inf", "0", "0"], "status": "Solved"}}\n'),
+    # the chase with the row x2 + 10^4 >= x0 from u = 0: x2 holds the one
+    # block at u, so the block rule never pins it, and the floor lies so
+    # deep that both methods stop at the cap
+    "solve (same-component chase at the cap)": (
+        {"A.txt": "3 3\n-inf -1 -inf\n-1 -inf -inf\n-inf -inf 10000\n",
+         "B.txt": "3 3\n0 -inf -inf\n-inf 0 -inf\n0 -inf -inf\n", "u.txt": "3\n0 0 0\n"},
         ["solve"] + SYSTEM_ARGV + ["--method", "both", "--output", "json"], 1,
-        '{"cyclic": {"iterations": 100000, "solution": ["-199999", "-200000", "0", "0"], '
+        '{"cyclic": {"iterations": 100000, "solution": ["-199999", "-200000", "0"], '
         '"status": "IterationCapHit"}, "power": {"iterations": 100000, '
-        '"solution": ["-100000", "-100000", "0", "0"], "status": "IterationCapHit"}}\n'),
+        '"solution": ["-100000", "-100000", "0"], "status": "IterationCapHit"}}\n'),
     # the first system through compare: both traced runs, their finite
     # additions and the sandwich verdict
     "compare": (

@@ -457,15 +457,16 @@ def test_feasibility_sweep_cap_is_a_maxplus_error():
 
 def test_untraced_capped_solve_keeps_no_iterates():
     # a long descent cut by the cap: without keep_trace the memory peak
-    # must not grow with the number of iterations.  The large x_3 puts
-    # the divergence floor ~2 * 10**7 below the start, so the chase
-    # still runs into the cap rather than being pinned
+    # must not grow with the number of iterations.  x2 holds the chase's
+    # block at u, so the block rule never ends it, and M = 10^6 puts the
+    # divergence floor ~2.4 * 10**7 below the start: the run reaches the
+    # cap rather than being pinned
     for solve in (mp.cyclic_solve, mp.power_solve):
         peaks = []
         for cap in (200, 2000):
             tracemalloc.start()
             try:
-                r = solve(chase_system(), v(0, 0, 10**6), max_iters=cap)
+                r = solve(same_component_chase(10**6), v(0, 0, 0), max_iters=cap)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -635,18 +636,30 @@ def spectator_chase(m):
         mp.matrix([[0, NEG, NEG, NEG], [NEG, 0, NEG, NEG], [NEG, NEG, NEG, 0]]))
 
 
+def same_component_chase(m):
+    """The chase pair on x0 and x1 plus the row x2 + m >= x0 (n = 3): one
+    block, which x2 holds at u, so only the floor ends its descent."""
+    return mp.InequalitySystem(
+        mp.matrix([[NEG, -1, NEG], [-1, NEG, NEG], [NEG, NEG, m]]),
+        mp.matrix([[0, NEG, NEG], [NEG, 0, NEG], [0, NEG, NEG]]))
+
+
 def test_the_floor_is_computed_only_for_runs_that_sink_far(monkeypatch):
     # the guard watches min(u) - 2n(n + p + 2), the highest the floor can
     # be, so that the scan of every entry for default_divergence_cap (and
-    # the period check's all-int test) is made only when an iterate falls
-    # below it, and then once per run
-    calls = [0]
-    inner = solvers._guard_scan
+    # the block rule's no-float test) and the block partition are made
+    # only when an iterate falls below it, and then once per run
+    calls = {"_guard_scan": 0, "_blocks": 0}
 
-    def counted(S, u):
-        calls[0] += 1
-        return inner(S, u)
-    monkeypatch.setattr(solvers, "_guard_scan", counted)
+    def counted(name):
+        inner = getattr(solvers, name)
+
+        def wrapper(S, *args):
+            calls[name] += 1
+            return inner(S, *args)
+        monkeypatch.setattr(solvers, name, wrapper)
+    counted("_guard_scan")
+    counted("_blocks")
     rng = random.Random(35)
     for _ in range(200):
         S, u, _ = planted_system(rng)
@@ -655,12 +668,14 @@ def test_the_floor_is_computed_only_for_runs_that_sink_far(monkeypatch):
             r = run(S, u, keep_trace=True)
             assert all(e >= watch for x in r.trace.points for e in x if finite(e))
         mp.feasibility(S, u)
-        assert calls[0] == 0, (S.A, S.B, u)
+        assert calls == {"_guard_scan": 0, "_blocks": 0}, (S.A, S.B, u)
     for S, u in ((chase_system(), v(0, 0, 0)), (spectator_chase(10), v(0, 0, 0, 0)),
-                 (spectator_chase(100), v(3, -2, -100, 500))):
+                 (spectator_chase(100), v(3, -2, -100, 500)),
+                 (same_component_chase(10), v(0, 0, 0))):
         for run in (mp.cyclic_solve, mp.power_solve, mp.feasibility):
-            calls[0] = 0
-            assert run(S, u).pinned and calls[0] == 1, (run.__name__, u)
+            calls.update(_guard_scan=0, _blocks=0)
+            assert run(S, u).pinned, (run.__name__, u)
+            assert calls == {"_guard_scan": 1, "_blocks": 1}, (run.__name__, u, calls)
 
 
 def test_finite_limit_coordinates_lie_above_the_sound_floor():
@@ -751,7 +766,7 @@ def test_additions_count_a_row_whose_float_maximum_overflows():
 
 def reference_guard_scan(S, u):
     """default_divergence_cap as it read every entry into one list, and
-    whether every finite entry of A, B and u is an int."""
+    whether no finite entry of A, B and u is a float."""
     m = 1
     entries = [e for row in list(S.A.rows) + list(S.B.rows) for e in row]
     entries.extend(u)
@@ -759,13 +774,14 @@ def reference_guard_scan(S, u):
         if NEG < e < POS:
             m = max(m, abs(e))
     return ((S.n + S.p + 2) * (m + 1),
-            all(type(e) is int for e in entries if NEG < e < POS))
+            not any(isinstance(e, float) for e in entries if NEG < e < POS))
 
 
 def test_guard_scan_keeps_the_cap_and_its_type():
     # the one-pass scan against the list it replaced: the cap's value and
     # payload type (M is the first entry of largest magnitude in reading
-    # order, so of 3 and 3.0 the one read first) and the all-int answer
+    # order, so of 3 and 3.0 the one read first) and the no-float answer
+    # that turns the block rule on (int and Fraction entries are exact)
     rng = random.Random(2020)
     seen = set()
     for _ in range(1500):
@@ -779,8 +795,12 @@ def test_guard_scan_keeps_the_cap_and_its_type():
         got, want = solvers._guard_scan(S, u), reference_guard_scan(S, u)
         assert typed(got) == typed(want), (A, B, u)
         assert typed([default_divergence_cap(S, u)]) == typed([want[0]])
-        seen.add((type(got[0]).__name__, got[1]))
-    assert len(seen) >= 4, seen
+        seen.add((kind, type(got[0]).__name__, got[1]))
+    # every payload type of the cap; a mix of ints and Fractions is exact,
+    # one finite float is not
+    assert {t for _, t, _ in seen} == {"int", "Fraction", "float"}, seen
+    assert {("mixed", True), ("mixed", False), ("Fraction", True),
+            ("float", False)} <= {(kind, exact) for kind, _, exact in seen}, seen
 
 
 def two_block_case(rng):
@@ -819,46 +839,65 @@ def two_block_case(rng):
     return S, mp.vector([rng.randint(-m, m) for _ in range(n)])
 
 
-def jump_strata(rng):
+def sinking_strata(rng):
     """(stratum, S, u, max_iters): dense 5x5 systems with entries in
     [-3, 3], two-block systems, and the spectator chase at m = 10, 10^3
-    and 10^6; the caps are drawn so that some runs end inside a stretch
-    the untraced run jumps."""
-    for _ in range(150):
-        A, B, u = dense_system(rng, 5, 5, -3, 3)
-        yield ("dense", mp.InequalitySystem(mp.matrix(A), mp.matrix(B)), mp.vector(u),
-               rng.choice((rng.randint(5, 300), solvers.DEFAULT_MAX_ITERS)))
-    for _ in range(60):
-        S, u = two_block_case(rng)
-        yield "two-block", S, u, rng.choice((rng.randint(5, 300), 1500))
-    for m in (10, 10**3, 10**6):
-        for u in (v(0, 0, 0, 0), v(3, -2, -m, 5 * m), v(0, 0, m, -m)):
-            top = 400 if m == 10 else 1500
-            for cap in (rng.randint(1, top), rng.randint(1, top),
-                        solvers.DEFAULT_MAX_ITERS if m == 10 else top):
-                yield f"chase {m}", spectator_chase(m), u, cap
+    and 10^6; the caps are drawn so that some runs end before the watch
+    line and some after it.  About a third of the cases have every
+    finite entry raised by 1/3, a translate with Fraction payloads."""
+    def cases():
+        for _ in range(150):
+            A, B, u = dense_system(rng, 5, 5, -3, 3)
+            yield ("dense", mp.InequalitySystem(mp.matrix(A), mp.matrix(B)), mp.vector(u),
+                   rng.choice((rng.randint(5, 300), solvers.DEFAULT_MAX_ITERS)))
+        for _ in range(60):
+            S, u = two_block_case(rng)
+            yield "two-block", S, u, rng.choice((rng.randint(5, 300), 1500))
+        for m in (10, 10**3, 10**6):
+            for u in (v(0, 0, 0, 0), v(3, -2, -m, 5 * m), v(0, 0, m, -m)):
+                top = 400 if m == 10 else 1500
+                for cap in (rng.randint(1, top), rng.randint(1, top),
+                            solvers.DEFAULT_MAX_ITERS if m == 10 else top):
+                    yield f"chase {m}", spectator_chase(m), u, cap
+
+    def third(e):
+        return mp.scalar(Fraction(e) + Fraction(1, 3)) if finite(e) else e
+
+    for stratum, S, u, cap in cases():
+        if rng.random() < 1 / 3:
+            S = mp.InequalitySystem(*(mp.matrix([[third(e) for e in r] for r in M.rows],
+                                                ncols=S.n) for M in (S.A, S.B)))
+            u = mp.vector([third(e) for e in u])
+            stratum += " Fraction"
+        yield stratum, S, u, cap
 
 
-def test_untraced_runs_jump_to_the_full_runs_report(monkeypatch):
-    # an untraced integer run past the watch line skips whole periods of
-    # a per-block translation; its report must be the engine-free
-    # reference's, which runs every step, and the traced run's less the
-    # trace, field by field with payload types; feasibility likewise
-    calls = counting_steps(monkeypatch, "_sweep", "_power_step")
+def test_block_rule_runs_match_the_reference():
+    # once an exact run with tol None crosses the watch line, every block
+    # that lies strictly below u is pinned.  Each report must be the
+    # engine-free reference's, field by field with payload types, traced
+    # or not, and the traced report the untraced one plus its trace;
+    # feasibility reads the reference cyclic run.  The reference under
+    # tol = 0 runs as with tol None but without the rule, so comparing
+    # the two shows where the rule ended a run sooner
     rng = random.Random(2026)
     seen = set()
-    for case, (stratum, S, u, max_iters) in enumerate(jump_strata(rng)):
+    for case, (stratum, S, u, max_iters) in enumerate(sinking_strata(rng)):
         for solve, step, keep_last, kind in (
                 (mp.cyclic_solve, reference_sweep, True, "cyclic"),
                 (mp.power_solve, reference_power_step, False, "power")):
-            calls[0] = 0
-            got = solve(S, u, max_iters=max_iters)
-            ran = calls[0]
-            want = reference_run(S, u, step(S), keep_last, kind, max_iters, None, False)
-            assert typed_report(got) == typed_report(want), (stratum, case, kind)
+            want = reference_run(S, u, step(S), keep_last, kind, max_iters, None, True)
             traced = solve(S, u, max_iters=max_iters, keep_trace=True)
-            assert typed_report(traced)[:-1] == typed_report(got)[:-1], (stratum, case)
-            seen.add((stratum, got.status, ran < got.iterations))
+            assert typed_report(traced) == typed_report(want), (stratum, case, kind)
+            got = solve(S, u, max_iters=max_iters)
+            assert typed_report(got) == typed_report(traced)[:-1] + (None,), (
+                stratum, case, kind)
+            plain = reference_run(S, u, step(S), keep_last, kind, max_iters, 0, False)
+            assert typed(plain.solution) == typed(got.solution) or (
+                plain.status is Status.ITERATION_CAP_HIT), (stratum, case, kind)
+            assert got.iterations <= plain.iterations
+            seen.add((stratum.split()[0], plain.status, got.status,
+                      got.iterations < plain.iterations))
             if kind == "cyclic":
                 cyclic = want
         want = cyclic
@@ -871,32 +910,74 @@ def test_untraced_runs_jump_to_the_full_runs_report(monkeypatch):
         assert (f.status, typed([witness]), f.pinned) == (
             "FiniteSolution" if witness is not None else "OnlyBottom",
             typed([witness]), want.pinned), (stratum, case)
-    # every stratum jumps, and some capped runs end inside a jump
-    for stratum in ("dense", "two-block", "chase 10", "chase 1000", "chase 1000000"):
-        assert any(s == stratum and jumped for s, _, jumped in seen), (stratum, seen)
-    for stratum in ("two-block", "chase 10", "chase 1000000"):
-        assert (stratum, Status.ITERATION_CAP_HIT, True) in seen, (stratum, seen)
-    assert ("two-block", Status.SOLVED, True) in seen
+    # the rule shortens runs in every stratum, certifies runs that the
+    # cap ended without it, and leaves some capped runs capped
+    for stratum in ("dense", "two-block", "chase"):
+        assert any(s == stratum and shorter for s, _, _, shorter in seen), (stratum, seen)
+    for status in (Status.SOLVED, Status.BOTTOM_REACHED):
+        assert any(was is Status.ITERATION_CAP_HIT and now is status
+                   for _, was, now, _ in seen), (status, seen)
+    assert any(now is Status.ITERATION_CAP_HIT for _, _, now, _ in seen), seen
 
 
-def test_sinking_runs_skip_their_periodic_tail(monkeypatch):
-    # the spectator chase at m = 10^4 reaches the 100 000-step cap long
-    # before the floor; the untraced run jumps there in a few hundred
-    # steps, and a float copy of the system, which the period check
-    # leaves alone, runs every step to the same report
-    calls = counting_steps(monkeypatch, "_sweep", "_power_step")
-    S = spectator_chase(10**4)
+def test_the_block_rule_keeps_a_block_that_touches_u():
+    # the spectator chase from (3, -2, -m, 5m): the block {2, 3} stays at
+    # (-m, 0), below u at x3 but at u at x2, so only the chase pair's
+    # block is pinned.  A rule that read each coordinate as a block of
+    # its own would pin x3 too
+    for m in (10, 10**3):
+        u = v(3, -2, -m, 5 * m)
+        for solve in (mp.cyclic_solve, mp.power_solve):
+            r = solve(spectator_chase(m), u)
+            assert (r.status, r.solution, r.pinned) == (
+                Status.SOLVED, v(NEG, NEG, -m, 0), (0, 1)), (m, solve.__name__)
+        f = mp.feasibility(spectator_chase(m), u)
+        assert (f.witness, f.pinned) == (v(NEG, NEG, -m, 0), (0, 1))
+
+
+def test_the_block_rule_is_off_for_floats_and_tolerances():
+    # the spectator chase at m = 10 from 0: with tol None on exact data
+    # the rule pins the chase pair as it crosses the watch line; a float
+    # copy (tol None) and the int run with tol = 0 take the floor's
+    # whole descent, with the reports they had before the rule
+    S = spectator_chase(10)
     Sf = mp.InequalitySystem(*(mp.matrix([[float(e) for e in r] for r in M.rows])
                                for M in (S.A, S.B)))
-    for solve, limit in ((mp.cyclic_solve, (-199999, -200000, 0, 0)),
-                         (mp.power_solve, (-100000, -100000, 0, 0))):
-        reports = []
-        for system, u in ((S, v(0, 0, 0, 0)), (Sf, v(0.0, 0.0, 0.0, 0.0))):
+    u, uf = v(0, 0, 0, 0), v(0.0, 0.0, 0.0, 0.0)
+    for solve, ruled, full in ((mp.cyclic_solve, (37, 228), (199, 1200)),
+                               (mp.power_solve, (73, 444), (397, 2388))):
+        for system, start, tol, (iterations, additions) in (
+                (S, u, None, ruled), (S, u, 0, full), (Sf, uf, None, full)):
+            r = solve(system, start, tol=tol)
+            assert (r.status, typed(r.solution), r.pinned) == (
+                Status.SOLVED, typed([NEG, NEG, start[2], start[3]]), (0, 1))
+            assert (r.iterations, r.finite_additions) == (iterations, additions), (
+                solve.__name__, tol, start)
+
+
+def test_every_counted_step_ran(monkeypatch):
+    # iterations counts the steps that changed the iterate, and each of
+    # them ran: the step is called once per counted step, plus once for
+    # the unchanged step that ends a Solved run.  The M = 10^4 spectator
+    # chase ends certified by the block rule, far inside its cap
+    calls = counting_steps(monkeypatch, "_sweep", "_power_step")
+
+    def reports(S, u, max_iters=solvers.DEFAULT_MAX_ITERS, keep_trace=False):
+        out = []
+        for solve in (mp.cyclic_solve, mp.power_solve):
             calls[0] = 0
-            r = solve(system, u)
-            assert (r.status, r.iterations, tuple(r.solution)) == (
-                Status.ITERATION_CAP_HIT, 100_000, limit), solve.__name__
-            reports.append((r.finite_additions, r.pinned, calls[0]))
-        (adds, pinned, ran), (adds_f, pinned_f, ran_f) = reports
-        assert (adds, pinned) == (adds_f, pinned_f)
-        assert ran <= 300 and ran_f == 100_000, (solve.__name__, ran, ran_f)
+            r = solve(S, u, max_iters=max_iters, keep_trace=keep_trace)
+            assert calls[0] == r.iterations + (r.status is Status.SOLVED), (
+                solve.__name__, r.status, r.iterations, calls[0])
+            out.append(r)
+        return out
+    rng = random.Random(2027)
+    for _ in range(150):
+        A, B, u = dense_system(rng, 5, 5, -3, 3)
+        S = mp.InequalitySystem(mp.matrix(A), mp.matrix(B))
+        reports(S, mp.vector(u), rng.choice((rng.randint(5, 300), solvers.DEFAULT_MAX_ITERS)),
+                rng.random() < 0.5)
+    rc, rp = reports(spectator_chase(10**4), v(0, 0, 0, 0))
+    for r, steps in ((rc, 37), (rp, 73)):
+        assert (r.status, r.solution, r.pinned, r.iterations) == (
+            Status.SOLVED, v(NEG, NEG, 0, 0), (0, 1), steps)
