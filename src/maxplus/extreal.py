@@ -22,8 +22,9 @@ Exactness is a property of the payloads, not of this module: all
 comparisons here are exact; tolerances exist only in solver termination.
 
 scalar() and parse_scalar() are the boundary: they reject NaN, types
-other than int / Fraction / float, and finite values beyond the float
-range (which could not meet an infinity in native arithmetic).  A
+other than int / Fraction / float (bool too, though it is an int, as
+its text "True" would not parse back), and finite values beyond the
+float range (which could not meet an infinity in native arithmetic).  A
 Fraction with denominator 1 enters as an int.
 """
 
@@ -61,7 +62,7 @@ def scalar(v):
         return parse_scalar(v)
     if isinstance(v, float):
         return v if v == NEG_INF or v == POS_INF else _finite(v)
-    if isinstance(v, (int, Fraction)):
+    if isinstance(v, (int, Fraction)) and v.__class__ is not bool:
         return _finite(v)
     raise TypeError(f"unsupported scalar type: {type(v).__name__}")
 

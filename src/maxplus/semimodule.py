@@ -46,16 +46,17 @@ of the point's entries tuple, with its projection.  distance_to,
 membership and universal_halfspace on one point therefore run the
 generator loop once between them, and reduce_problem leaves the
 projection of x' on the V' it returns, so distance_to and
-universal_halfspace on (V', x') run no loop of their own.  The key is
-held by a strong reference, and a tuple of numbers is immutable, so
-the same object means the same values and payload types; an equal
-point in another tuple ((1,) against (1.0,) or another (1,)) is
-projected afresh.  The cost is one point and one projection per
-semimodule, replaced by a single attribute store, so a concurrent
-reader sees the old pair or the new one.  Nothing invalidates the
-pair: vectors and semimodules are immutable, and no code assigns their
-attributes after construction (tropical_linalg._vec only fills a new
-vector).
+universal_halfspace on (V', x') run no loop of their own; when V
+already holds the projection of x, reduce_problem restricts it rather
+than projecting x' again.  The key is held by a strong reference, and
+a tuple of numbers is immutable, so the same object means the same
+values and payload types; an equal point in another tuple ((1,)
+against (1.0,) or another (1,)) is projected afresh.  The cost is one
+point and one projection per semimodule, replaced by a single
+attribute store, so a concurrent reader sees the old pair or the new
+one.  Nothing invalidates the pair: vectors and semimodules are
+immutable, and no code assigns their attributes after construction
+(tropical_linalg._vec only fills a new vector).
 """
 
 from __future__ import annotations
@@ -217,8 +218,10 @@ def reduce_problem(V, x):
     are scaled to bottom in any element at finite distance from x).
     Distances and best approximations correspond exactly; a solution
     v' lifts back via lift_point(v', I, n).  V' keeps the projection
-    of x' that the infinite-distance check computes, so distance_to
-    and universal_halfspace on (V', x') reuse it.
+    of x' that the infinite-distance check reads, so distance_to and
+    universal_halfspace on (V', x') reuse it.  When V holds the
+    projection of x itself, V' gets it restricted to I, and no generator
+    loop runs.
 
     Raises an infinite-distance error when no element of V has the
     support of x, and an unsupported-case error when x has a +inf
@@ -235,6 +238,13 @@ def reduce_problem(V, x):
             if part.supp.issuperset(support) and POS_INF not in g.entries]
     x_prime = restrict(x, I)
     V_prime = GeneratedSemimodule(kept, n=len(I))
+    last = V._last
+    if last[0] is x.entries:
+        # every dropped generator has residual -inf against x, so the
+        # projection of x skipped it, and each kept one meets the same
+        # residual in the same order: P restricted to I is exactly the
+        # projection of x' onto V'
+        V_prime._last = (x_prime.entries, restrict(last[1], I))
     if NEG_INF in project(V_prime, x_prime).entries:
         raise InfiniteDistanceError(
             "no element of the semimodule has the support of x")

@@ -35,8 +35,9 @@ of the cyclic method tracking below single power steps; a trace keeps
 every iterate and, as ends, where each sweep or step ended in it, so
 sandwich_check reads the sandwich off two traced reports.  On integer
 data the power method reaches its fixed point within n * d(u, V)
-steps, d the projective distance; the reports carry this bound
-computed post hoc from the limit.
+steps, d the projective distance; a report computes this bound from
+its start and limit when it is first read, so a caller that never
+reads it never pays for it.
 
 Termination is an exactly unchanged sweep / step, or, given a
 tolerance, one whose largest entry change is below it (entries at an
@@ -84,13 +85,14 @@ partition and its check off the runs that never sink far.
 System rows are checked once, by InequalitySystem: equal shapes and no
 +inf entry.  Each call builds what it needs from them and keeps nothing
 on the system: the cyclic step reads every row pair's canonical form
-off its entry tuples once, with halfspace._row_form,
-which checks nothing again and builds no HalfSpace.  It then projects
-each row through the module's project_canonical as it stands at call
-time, so a wrapper put there sees every row projection.  The rest of a
-call's fixed cost is read off its start in passes the loop makes
-anyway: the guard takes min(u) from the loop's first scan of u, and
-the report's bound takes both residuals of d(u, limit) in one pass.
+off its entry tuples once, with halfspace._row_form, which checks
+nothing again and builds no HalfSpace.  It then projects each row
+through the module's project_canonical as it stands at call time, so a
+wrapper put there sees every row projection.  The rest of a call's
+fixed cost is read off its start in passes the loop makes anyway: the
+guard takes min(u) from the loop's first scan of u, and the report's
+bound, on its first read, takes both residuals of d(u, limit) in one
+pass.
 
 Reports count the additions of two finite scalars, by one rule for
 both steps (_additions): a row adds c_i + x_i for each finite x_i with
@@ -102,13 +104,21 @@ or step performs depends only on where its start is infinite, so each
 such pattern (mostly just "all finite") is counted once, and every
 counted step ran.  The rule reads a maximum as finite from the finite
 x_i alone: a float row whose maximum overflows to +inf still counts
-its |J| subtractions.
+its |J| subtractions.  While the iterate has no infinite entry, the
+rule gives |I| + |J| for a row with I nonempty and 0 for one with I
+empty, so a row's count is read off the lengths of its form (or of
+supp A_j and supp B_j); only from an infinite entry on, which the power
+step finds in its start and the sweep in its start or after a row that
+moved (a BottomOnly row, a row with I empty, or a float difference
+that overflows to -inf), is each row counted entry by entry.
+feasibility, whose result carries no count, counts nothing.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
+from functools import cached_property
 
 from .errors import DimensionError, MaxplusError, UnsupportedCaseError
 from .extreal import NEG_INF, POS_INF
@@ -163,20 +173,61 @@ class IterationTrace:
     ends: tuple
 
 
-@dataclass(frozen=True)
+_PUBLIC = ("status", "solution", "iterations", "distance_bound_used",
+           "finite_additions", "trace", "pinned")
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class SolveReport:
     """iterations counts steps that ran and changed the iterate;
     finite_additions includes those computing distance_bound_used;
     pinned lists the coordinates that the floor or the block rule set
-    to -inf (module docstring)."""
+    to -inf (module docstring).
+
+    The report keeps its start and the run's own additions, and computes
+    distance_bound_used, with the additions it takes, on the first read
+    of either: a caller that reads neither never pays for the bound.
+    ==, hash and repr read the seven public values, and
+    dataclasses.replace builds a report whose bound follows the fields
+    it was given."""
 
     status: Status
     solution: TropicalVector
     iterations: int
-    distance_bound_used: object
-    finite_additions: int
     trace: IterationTrace | None = None
     pinned: tuple = ()
+    _: KW_ONLY
+    start: TropicalVector
+    run_additions: int
+
+    @cached_property
+    def _bound(self):
+        if self.status is Status.SOLVED:
+            return _bound_from(self.start, self.solution)
+        return POS_INF, 0
+
+    @property
+    def distance_bound_used(self):
+        return self._bound[0]
+
+    @property
+    def finite_additions(self):
+        return self.run_additions + self._bound[1]
+
+    def _public(self):
+        return tuple([getattr(self, name) for name in _PUBLIC])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._public() == other._public()
+
+    def __hash__(self):
+        return hash(self._public())
+
+    def __repr__(self):
+        return "SolveReport(" + ", ".join(
+            [f"{name}={value!r}" for name, value in zip(_PUBLIC, self._public())]) + ")"
 
 
 @dataclass(frozen=True)
@@ -190,6 +241,21 @@ class FeasibilityResult:
     status: str
     witness: TropicalVector | None
     pinned: tuple = ()
+
+
+@dataclass(slots=True)
+class _Run:
+    """What one guarded run ended with: its status and iterate, the steps
+    that changed the iterate, the finite additions of every step (0 when
+    the run did not count), the pinned coordinates, sorted, and, for a
+    traced run, the index in its points where each step ended."""
+
+    status: Status
+    iterate: TropicalVector
+    steps: int
+    additions: int
+    pinned: tuple
+    ends: list
 
 
 def _scan(x):
@@ -222,15 +288,16 @@ def _max_change_ok(prev, cur, tol):
 
 
 def _bound_from(u, solution):
-    """(n * d(u, limit), its finite additions): the post-hoc iteration
-    bound for integer data, infinite whenever the distance is.  It is 0,
-    with no addition, when d is -inf: no index is then finite in both
-    vectors, so no entry moved, since entries only fall and one that
-    falls from +inf or from a finite value makes d +inf.  One pass
-    takes the two residuals of hilbert_distance(u, limit), limit\\u and
-    u\\limit, with vec_residual's first-minimum rule, and counts the
-    indices finite in both vectors: each residual subtracts once there,
-    and adding the two counts only when both, hence d, are finite."""
+    """(n * d(u, limit), its finite additions): the iteration bound for
+    integer data that a report computes on first read, infinite whenever
+    the distance is.  It is 0, with no addition, when d is -inf: no index
+    is then finite in both vectors, so no entry moved, since entries only
+    fall and one that falls from +inf or from a finite value makes d
+    +inf.  One pass takes the two residuals of hilbert_distance(u,
+    limit), limit\\u and u\\limit, with vec_residual's first-minimum
+    rule, and counts the indices finite in both vectors: each residual
+    subtracts once there, and adding the two counts only when both, hence
+    d, are finite."""
     r = s = POS_INF
     both = 0
     for a, b in zip(u.entries, solution.entries):
@@ -299,13 +366,22 @@ def _sweep(S):
 
     def sweep(x, points, counting):
         count = 0
+        # while x has no infinite entry, a row adds |I| + |J|, or nothing
+        # when I is empty; a row that moves x may put -inf in it
+        finite = counting and NEG_INF not in x.entries and POS_INF not in x.entries
         for C in rows:
-            if counting:
+            if finite:
+                if C.a_pairs:
+                    count += len(C.a_pairs) + len(C.b_pairs)
+            elif counting:
                 I = [i for i, _ in C.a_pairs]
                 count += _additions(I, len(C.b_pairs), x.entries)
             nxt = project_canonical(C, x)
-            if points is not None and nxt is not x:
-                points.append(nxt)
+            if nxt is not x:
+                if points is not None:
+                    points.append(nxt)
+                if finite and NEG_INF in nxt.entries:
+                    finite = False
             x = nxt
         return x, count
     return sweep
@@ -337,17 +413,19 @@ def _power_step(S):
         nxt = _vec(tuple([r if r <= e else e for r, e in zip(out, xs)]))
         if not counting:
             return nxt, None
+        if NEG_INF not in xs and POS_INF not in xs:
+            return nxt, sum([len(sa) + len(sb) for _, sa, _, sb in rows if sa])
         return nxt, sum([_additions(sa, len(sb), xs) for _, sa, _, sb in rows])
     return step
 
 
-def _cyclic_run(S, u, step, keep_last, max_iters, tol, points=None):
+def _cyclic_run(S, u, step, keep_last, max_iters, tol, points=None, counting=True):
     """The one guarded loop, x <- step(x), of both solvers and
-    feasibility.  Returns (status, x, sweeps, additions, pinned, ends);
-    sweeps counts the steps that changed the iterate, pinned is sorted.
+    feasibility, as a _Run.
 
     step(x, points, counting) gives the next iterate and, when counting,
     its finite additions; it may append intermediate iterates to points.
+    A run that is not counting never asks for them.
     A step that passes the stop test ends the run with its iterate if
     keep_last, else with the one before it, which it then leaves out of
     points.  points, if given (holding u), receives every new iterate
@@ -372,7 +450,7 @@ def _cyclic_run(S, u, step, keep_last, max_iters, tol, points=None):
     sweeps = additions = 0
     pattern_additions = {}
     while sweeps < max_iters:
-        known = pattern_additions.get(pattern)
+        known = pattern_additions.get(pattern) if counting else 0
         nxt, count = step(x, points, known is None)
         if known is None:
             pattern_additions[pattern] = known = count
@@ -417,7 +495,7 @@ def _cyclic_run(S, u, step, keep_last, max_iters, tol, points=None):
         if hi == NEG_INF:
             status = Status.BOTTOM_REACHED
             break
-    return status, x, sweeps, additions, tuple(sorted(pinned)), ends
+    return _Run(status, x, sweeps, additions, tuple(sorted(pinned)), ends)
 
 
 def _blocks(S):
@@ -441,11 +519,10 @@ def _blocks(S):
 def _solve(S, u, make_step, keep_last, kind, max_iters, tol, keep_trace):
     _check_start(S, u, max_iters, tol)
     points = [u] if keep_trace else None
-    status, x, sweeps, additions, pinned, ends = _cyclic_run(
-        S, u, make_step(S), keep_last, max_iters, tol, points)
-    trace = IterationTrace(tuple(points), kind, tuple(ends)) if keep_trace else None
-    bound, extra = _bound_from(u, x) if status is Status.SOLVED else (POS_INF, 0)
-    return SolveReport(status, x, sweeps, bound, additions + extra, trace, pinned)
+    run = _cyclic_run(S, u, make_step(S), keep_last, max_iters, tol, points)
+    trace = IterationTrace(tuple(points), kind, tuple(run.ends)) if keep_trace else None
+    return SolveReport(run.status, run.iterate, run.steps, trace, run.pinned,
+                       start=u, run_additions=run.additions)
 
 
 def cyclic_solve(S, u, max_iters=DEFAULT_MAX_ITERS, tol=None, keep_trace=False):
@@ -525,9 +602,9 @@ def feasibility(S, u, max_iters=DEFAULT_MAX_ITERS):
     for e in u.entries:
         if not NEG_INF < e < POS_INF:
             raise UnsupportedCaseError("feasibility needs a finite starting point")
-    status, x, _, _, pinned, _ = _cyclic_run(S, u, _sweep(S), True, max_iters, None)
-    if status is Status.SOLVED:
-        return FeasibilityResult("FiniteSolution", x, pinned)
-    if status is Status.BOTTOM_REACHED:
-        return FeasibilityResult("OnlyBottom", None, pinned)
+    run = _cyclic_run(S, u, _sweep(S), True, max_iters, None, counting=False)
+    if run.status is Status.SOLVED:
+        return FeasibilityResult("FiniteSolution", run.iterate, run.pinned)
+    if run.status is Status.BOTTOM_REACHED:
+        return FeasibilityResult("OnlyBottom", None, run.pinned)
     raise MaxplusError(f"no fixed point within {max_iters} sweeps; raise max_iters")

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import namedtuple
 from fractions import Fraction
 
 import maxplus as mp
@@ -628,6 +629,18 @@ def reference_sweep(S):
     return sweep
 
 
+def counting(monkeypatch, module, name):
+    """Count the calls made through module.name."""
+    calls = [0]
+    inner = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[0] += 1
+        return inner(*args, **kwargs)
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
 def counting_steps(monkeypatch, *names):
     """Count the steps _cyclic_run takes: the calls of each step function
     that the named makers in solvers (_sweep, _power_step) build."""
@@ -647,11 +660,17 @@ def counting_steps(monkeypatch, *names):
     return calls
 
 
+# the public fields of a SolveReport, as a plain record
+Report = namedtuple("Report", "status solution iterations distance_bound_used "
+                              "finite_additions trace pinned")
+
+
 def reference_run(S, u, step, keep_last, kind, max_iters, tol, keep_trace):
-    """The report of the guarded run x <- step(x) from u, restated without
-    the engine: additions counted on every step (no pattern cache), the
-    floor applied after every step (no watch), unchanged steps told by
-    comparing every entry, and a trace point added for every new value.
+    """The report of the guarded run x <- step(x) from u, as a Report,
+    restated without the engine: additions counted on every step (no
+    pattern cache, no shortcut for a finite iterate), the floor applied
+    after every step (no watch), unchanged steps told by comparing every
+    entry, and a trace point added for every new value.
 
     The run stops at the first unchanged step (every finite entry within
     tol of the one before, every other entry equal; exact equality when
@@ -711,8 +730,8 @@ def reference_run(S, u, step, keep_last, kind, max_iters, tol, keep_trace):
             break
     bound, extra = reference_bound(u, x) if status is mp.Status.SOLVED else (POS, 0)
     trace = mp.IterationTrace(tuple(points), kind, tuple(ends)) if keep_trace else None
-    return mp.SolveReport(status, x, sweeps, bound, additions + extra, trace,
-                          tuple(sorted(pinned)))
+    return Report(status, x, sweeps, bound, additions + extra, trace,
+                  tuple(sorted(pinned)))
 
 
 def reference_bound(u, x):

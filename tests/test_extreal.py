@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from maxplus import vector
+from maxplus import HalfSpace, matrix, vector
 from maxplus.extreal import (NEG_INF, POS_INF, format_scalar, lower_add,
                              negate, parse_scalar, scalar, scalar_residual,
                              upper_add)
@@ -239,6 +239,21 @@ def test_boundary_rejects_nan_and_overflow():
             scalar(bad)
         with pytest.raises(ValueError):
             vector([0, bad])
+
+
+def test_boundary_rejects_bool():
+    # bool is an int subclass, but a stored True would be written as
+    # "True", which parse_scalar refuses
+    for b in (True, False):
+        with pytest.raises(TypeError, match="unsupported scalar type: bool"):
+            scalar(b)
+        with pytest.raises(TypeError, match="unsupported scalar type: bool"):
+            vector([b, 2])
+        with pytest.raises(TypeError, match="unsupported scalar type: bool"):
+            matrix([[0, 1], [2, b]])
+        with pytest.raises(TypeError, match="unsupported scalar type: bool"):
+            HalfSpace([b, NEG_INF], [NEG_INF, 0])
+    assert type(scalar(1)) is int
 
 
 def test_unit_denominator_is_an_integer():

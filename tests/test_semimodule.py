@@ -449,9 +449,50 @@ def test_one_projection_per_point(monkeypatch):
     mp.distance_to(V, y)
     y2, V2, _ = mp.reduce_problem(V, y)
     mp.universal_halfspace(V2, y2)
-    # one pass over V, one over the two generators -inf at index 1
+    # one pass over V: reduce_problem restricts the projection of y that
+    # V holds, and universal_halfspace reads it off V2
     assert len(V2.generators) == 2
+    assert residuals[0] == 4
+    z = v(2, NEG, 0)
+    mp.reduce_problem(V, z)
+    # a point V has not projected: one pass over the reduced family
     assert residuals[0] == 4 + 2
+
+
+def test_reduction_reuses_the_projection_exactly():
+    # the projection reduce_problem leaves on V' is a fresh projection of
+    # x' onto V', payload types included, whether it was restricted from
+    # the projection of x that V held or computed over V'
+    rng = random.Random(26)
+    reused = 0
+    for _ in range(3000):
+        n = rng.randint(1, 5)
+        V = _mixed_family(rng, n)
+        x = mp.vector([rand_payload(rng, 0.3, 0.0) for _ in range(n)])
+        try:
+            want = reference_reduce(V, x)
+        except MaxplusError as e:
+            for prior in (False, True):
+                W = mp.GeneratedSemimodule(V.generators, n=n)
+                if prior:
+                    mp.project_semimodule(W, x)
+                with pytest.raises(type(e)):
+                    mp.reduce_problem(W, x)
+            continue
+        got = []
+        for prior in (False, True):
+            W = mp.GeneratedSemimodule(V.generators, n=n)
+            if prior:
+                mp.project_semimodule(W, x)
+            x2, V2, I = mp.reduce_problem(W, x)
+            assert typed((x2, V2.generators, I)) == typed(want)
+            stored = V2._last
+            assert stored[0] is x2.entries
+            got.append(typed(stored[1]))
+        assert got[0] == got[1] == typed(reference_project(
+            mp.GeneratedSemimodule(want[1], n=len(want[2])), want[0]))
+        reused += 1
+    assert reused > 700
 
 
 def test_memo_keys_on_the_entries_tuple():

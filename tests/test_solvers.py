@@ -2,6 +2,7 @@
 projection and the whole-system fixed-point iteration, plus the
 sandwich comparison and the divergence-guarded feasibility wrapper."""
 
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -14,7 +15,7 @@ from maxplus import solvers
 from maxplus.errors import DimensionError, MaxplusError, UnsupportedCaseError
 from maxplus.solvers import Status, default_divergence_cap
 from helpers import (NEG, POS, RING_CYCLIC_STEPS, RING_LIMIT,
-                     RING_POWER_STEPS, chain_system, chase_system,
+                     RING_POWER_STEPS, chain_system, chase_system, counting,
                      counting_steps, dense_system, finite, planted_system,
                      planted_system_sized, reference_bound,
                      reference_greatest_solution, reference_power_step,
@@ -981,3 +982,104 @@ def test_every_counted_step_ran(monkeypatch):
     for r, steps in ((rc, 37), (rp, 73)):
         assert (r.status, r.solution, r.pinned, r.iterations) == (
             Status.SOLVED, v(NEG, NEG, 0, 0), (0, 1), steps)
+
+
+# --- what a report computes, and when ----------------------------------------
+
+def both_against_reference(S, u, max_iters=solvers.DEFAULT_MAX_ITERS):
+    """Both solvers' reports from u, traced and untraced, each checked
+    field by field against the engine-free reference run, which counts
+    every addition entry by entry; returns the two traced reports."""
+    out = []
+    for solve, step, keep_last, kind in (
+            (mp.cyclic_solve, reference_sweep, True, "cyclic"),
+            (mp.power_solve, reference_power_step, False, "power")):
+        for keep_trace in (False, True):
+            got = solve(S, u, max_iters=max_iters, keep_trace=keep_trace)
+            want = reference_run(S, u, step(S), keep_last, kind, max_iters, None,
+                                 keep_trace)
+            assert typed_report(got) == typed_report(want), (kind, keep_trace)
+        out.append(got)
+    return out
+
+
+def test_counts_fall_back_once_the_iterate_turns_infinite():
+    # while the iterate has no infinite entry, a row's count is read off
+    # its form; each system below puts -inf into the iterate inside a
+    # sweep, and a later row then counts fewer additions than its form
+    # would give, as the reference counts them
+    # x0 >= x1 + 1, then a BottomOnly row, then x2 <= x0: the last row
+    # meets bottom and adds nothing
+    S = mp.InequalitySystem(mp.matrix([[0, NEG, NEG], [NEG, NEG, NEG], [0, NEG, NEG]]),
+                            mp.matrix([[NEG, 1, NEG], [0, 0, 0], [NEG, NEG, 0]]))
+    rc, rp = both_against_reference(S, v(4, 4, 4))
+    assert (rc.status, rc.finite_additions, rp.finite_additions) == (
+        Status.BOTTOM_REACHED, 2, 4)
+    # a proper row with I empty sets x0 to -inf; x1 <= max(x0, x2 + 1)
+    # then adds over x2 alone
+    S = mp.InequalitySystem(mp.matrix([[NEG, NEG, NEG], [0, NEG, 1]]),
+                            mp.matrix([[0, NEG, NEG], [NEG, 0, NEG]]))
+    rc, rp = both_against_reference(S, v(1, 5, 2))
+    assert (rc.status, rc.solution, rp.solution) == (
+        Status.SOLVED, v(NEG, 3, 2), v(NEG, 3, 2))
+    # float overflow: t - b_1 = -1e308 - 1e308 is -inf, so the next row,
+    # x0 <= max(x1, x2), adds over x2 alone
+    big = 1e308
+    S = mp.InequalitySystem(mp.matrix([[-big, NEG, NEG], [NEG, 0.0, 0.0]]),
+                            mp.matrix([[NEG, big, NEG], [0.0, NEG, NEG]]))
+    rc, rp = both_against_reference(S, v(0.0, 0.0, -1.0))
+    assert typed(rc.solution) == typed([-1.0, NEG, -1.0])
+    # starts with infinite entries count by the fallback from the start
+    for u in (v(POS, 4, 4), v(4, NEG, 4), v(POS, NEG, 0.5)):
+        both_against_reference(S, u)
+    rng = random.Random(2028)
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        A, B, _ = dense_system(rng, n, rng.randint(1, 5), -3, 3)
+        A, B = ([[NEG if rng.random() < 0.3 else e for e in r] for r in M] for M in (A, B))
+        u = [rng.choice((NEG, POS, rng.randint(-3, 3))) for _ in range(n)]
+        both_against_reference(mp.InequalitySystem(mp.matrix(A, ncols=n),
+                                                   mp.matrix(B, ncols=n)),
+                               mp.vector(u), rng.choice((3, 50)))
+
+
+def test_the_bound_is_computed_on_first_read(monkeypatch):
+    calls = counting(monkeypatch, solvers, "_bound_from")
+    S, u = ring_ineq_system(), U6
+    for solve in (mp.cyclic_solve, mp.power_solve):
+        calls[0] = 0
+        r = solve(S, u)
+        assert (r.status, r.solution) == (Status.SOLVED, RING_LIMIT)
+        assert calls[0] == 0
+        bound, extra = reference_bound(u, r.solution)
+        assert (r.distance_bound_used, r.finite_additions) == (bound, r.run_additions + extra)
+        assert (r.distance_bound_used, r.finite_additions) == (bound, r.run_additions + extra)
+        assert calls[0] == 1
+        # a replaced solution gets its own bound
+        other = v(-3, -2, -3, -4, -5, 0)
+        moved = dataclasses.replace(r, solution=other)
+        bound, extra = reference_bound(u, other)
+        assert (moved.distance_bound_used, moved.finite_additions) == (
+            bound, r.run_additions + extra)
+        capped = dataclasses.replace(r, status=Status.ITERATION_CAP_HIT)
+        assert (capped.distance_bound_used, capped.finite_additions) == (
+            POS, r.run_additions)
+        # ==, hash and repr read the public values, the bound included
+        again = solve(S, u)
+        assert again == r and hash(again) == hash(r) and repr(again) == repr(r)
+        assert moved != r
+        assert f"distance_bound_used={r.distance_bound_used!r}, " in repr(r)
+        assert "start" not in repr(r)
+
+
+def test_feasibility_counts_no_additions(monkeypatch):
+    # x0 >= x1 + 1, then a BottomOnly row: the sweep turns the iterate
+    # infinite, where a counting run reads each row's count by _additions
+    calls = counting(monkeypatch, solvers, "_additions")
+    S = mp.InequalitySystem(mp.matrix([[0, NEG], [NEG, NEG], [NEG, 0]]),
+                            mp.matrix([[NEG, 1], [0, 0], [0, NEG]]))
+    assert mp.feasibility(S, v(4, 4)).status == "OnlyBottom"
+    assert mp.feasibility(ring_ineq_system(), U6).witness == RING_LIMIT
+    assert calls[0] == 0
+    mp.cyclic_solve(S, v(4, 4))
+    assert calls[0] > 0
